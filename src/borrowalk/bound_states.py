@@ -28,7 +28,6 @@ from .lattice import (
     inner_product,
     phase_factor,
 )
-from .parallel import ordered_map
 
 _BRANCH_SIGN = {2: -1.0, 3: 1.0, 4: -1.0}
 
@@ -130,11 +129,19 @@ def ghz_condition(arity: int, phi, ghz: GhzSpec, k: int = 0, d: int = 2) -> floa
     """
     if arity != ghz.arity:
         raise ValueError("arity must match the coin state")
+    hops = _momentum_phases(k, d)
+    image = interaction_group_matrix(arity, phi) @ ghz_coin(ghz)
+    return _phased_overlap(ghz, image, *hops)
+
+
+def _momentum_phases(k: int, d: int) -> tuple[complex, complex]:
+    """(exp(-2*pi*i*k/d), exp(2*pi*i*k/d)), the forward and backward hop phases."""
     if not 0 <= k < d:
         raise ValueError("momentum index must lie in [0, d)")
-    image = interaction_group_matrix(arity, phi) @ ghz_coin(ghz)
-    forward = phase_factor(Fraction(2 * k, d), -1)
-    backward = phase_factor(Fraction(2 * k, d))
+    return phase_factor(Fraction(2 * k, d), -1), phase_factor(Fraction(2 * k, d))
+
+
+def _phased_overlap(ghz: GhzSpec, image: np.ndarray, forward: complex, backward: complex) -> float:
     value = ghz.beta.conjugate() * forward * image[0]
     value += ghz.gamma.conjugate() * backward * image[-1]
     return abs(value)
@@ -149,10 +156,7 @@ def ghz_condition_closed(arity: int, phi, ghz: GhzSpec, k: int = 0, d: int = 2) 
     """
     if arity != ghz.arity:
         raise ValueError("arity must match the coin state")
-    if not 0 <= k < d:
-        raise ValueError("momentum index must lie in [0, d)")
-    forward = phase_factor(Fraction(2 * k, d), -1)
-    backward = phase_factor(Fraction(2 * k, d))
+    forward, backward = _momentum_phases(k, d)
     total = 0j
     scale = 1.0 / (1 << arity)
     for zeros in range(arity + 1):
@@ -185,26 +189,25 @@ def scan_conditions(
     """Grid search for parameter points where the alignment condition reaches one.
 
     Returns every grid point whose dense condition value meets the threshold,
-    together with the closed-form value at the same point.
+    together with the closed-form value at the same point.  The values are
+    ghz_condition's to the bit; the contact-coin image is formed once per
+    (arity, sign, phase) and shared by the momentum sectors.
     """
     spec_of = {"symmetric": GhzSpec.symmetric, "antisymmetric": GhzSpec.antisymmetric}
-    tasks = []
+    momenta = [(k, _momentum_phases(k, d)) for k in k_values]
+    points = []
     for arity in arities:
         for name in signs:
             ghz = spec_of[name](arity)
+            coin = ghz_coin(ghz)
             for phi in phases:
-                for k in k_values:
-                    tasks.append((arity, phi, k, ghz))
-
-    def evaluate(task):
-        arity, phi, k, ghz = task
-        value = ghz_condition(arity, phi, ghz, k, d)
-        if value < threshold:
-            return None
-        closed = ghz_condition_closed(arity, phi, ghz, k, d)
-        return ConditionPoint(arity, phi, k, ghz, value, closed)
-
-    return [point for point in ordered_map(evaluate, tasks) if point is not None]
+                image = interaction_group_matrix(arity, phi) @ coin
+                for k, hops in momenta:
+                    value = _phased_overlap(ghz, image, *hops)
+                    if value >= threshold:
+                        closed = ghz_condition_closed(arity, phi, ghz, k, d)
+                        points.append(ConditionPoint(arity, phi, k, ghz, value, closed))
+    return points
 
 
 def refine_condition_peak(

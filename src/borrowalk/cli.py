@@ -89,6 +89,8 @@ def _config(args, particles: int) -> LatticeConfig:
 
 def _cmd_evolve(args) -> None:
     _require_json(args)
+    if args.steps < 0:
+        raise ValueError("--steps must be non-negative")
     config = _config(args, args.n)
     positions = _parse_int_list(args.positions) if args.positions else [0] * args.n
     coins = _parse_coin_list(args.coins) if args.coins else (1,) * args.n

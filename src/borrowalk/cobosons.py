@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .parallel import ordered_map
-
 
 @dataclass(frozen=True)
 class FockState:
@@ -151,6 +149,4 @@ def norm_table(max_composites: int, d: int, constituents: int = 3) -> list[Cobos
     """Reports for 1 .. max_composites composites at fixed ring size."""
     if max_composites < 1:
         raise ValueError("need max_composites >= 1")
-    return ordered_map(
-        lambda n: coboson_report(n, d, constituents), range(1, max_composites + 1)
-    )
+    return [coboson_report(n, d, constituents) for n in range(1, max_composites + 1)]

@@ -14,8 +14,7 @@ import numpy as np
 
 from .bound_states import bound_state
 from .evolution import projected_step
-from .lattice import LatticeConfig, inner_product, phase_factor, phase_radians
-from .parallel import ordered_map
+from .lattice import LatticeConfig, check_phase, inner_product, phase_factor, phase_radians
 
 
 @dataclass(frozen=True)
@@ -40,11 +39,17 @@ class TripleSectorCoefficients:
         return out
 
 
+def _persistence_rate(phi) -> float:
+    """|(e^{3i phi} + 3)/4|, the trimer's amplitude to stay put over one step."""
+    check_phase(phi)
+    return abs((phase_factor(phi, 3) + 3.0) / 4.0)
+
+
 def persistence_closed(phi, t: int) -> float:
     """Fidelity of the trimer with itself after t projected steps."""
     if t < 0:
         raise ValueError("step count must be non-negative")
-    return abs((phase_factor(phi, 3) + 3.0) / 4.0) ** (2 * t)
+    return _persistence_rate(phi) ** (2 * t)
 
 
 def persistence_trajectory(phi, t_max: int, d: int = 8) -> list[float]:
@@ -74,10 +79,9 @@ def fidelity_sweep(phases, t_values) -> list[tuple[float, int, float]]:
     if steps and steps[0] < 0:
         raise ValueError("step counts must be non-negative")
 
-    def row(phi):
-        return [(phase_radians(phi), t, persistence_closed(phi, t)) for t in steps]
-
     rows: list[tuple[float, int, float]] = []
-    for chunk in ordered_map(row, list(phases)):
-        rows.extend(chunk)
+    for phi in phases:
+        rate = _persistence_rate(phi)
+        radians = phase_radians(phi)
+        rows.extend((radians, t, rate ** (2 * t)) for t in steps)
     return rows

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 RIGHT = 1
 LEFT = -1
 
@@ -63,6 +65,41 @@ def phase_factor(phi: float | Fraction, m: int = 1) -> complex:
     return cmath.exp(1j * (m * phi))
 
 
+def turn_table(numerators, denominator: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of exp(i*pi*n/denominator) over an integer array n.
+
+    Entry by entry this is phase_factor(Fraction(n, denominator)) to the bit,
+    exact 1, i, -1 and -i at quarter turns included, without building a
+    Fraction per entry.
+    """
+    turns = np.asarray(numerators, dtype=np.int64) % (2 * denominator)
+    angles = (math.pi * (turns / denominator)).tolist()
+    re = np.fromiter(map(math.cos, angles), float, len(angles))
+    im = np.fromiter(map(math.sin, angles), float, len(angles))
+    for quarter, exact in enumerate((complex(1.0), 1j, complex(-1.0), -1j)):
+        hit = 2 * turns == quarter * denominator
+        re[hit] = exact.real
+        im[hit] = exact.imag
+    return re, im
+
+
+def check_phase(phi, name: str = "phase"):
+    """Return phi if it lies strictly inside (0, 2*pi), ints read as floats.
+
+    A Fraction is taken as that multiple of pi, a float in radians.
+    """
+    if isinstance(phi, Fraction):
+        if not 0 < phi < 2:
+            raise ValueError(f"{name} must lie strictly inside (0, 2*pi)")
+        return phi
+    if isinstance(phi, (int, float)):
+        phi = float(phi)
+        if not 0.0 < phi < 2.0 * math.pi:
+            raise ValueError(f"{name} must lie strictly inside (0, 2*pi)")
+        return phi
+    raise TypeError(f"{name} must be a float or a Fraction of pi")
+
+
 def phase_radians(phi: float | Fraction) -> float:
     """Numeric value in radians of a phase that may be an exact pi fraction."""
     if isinstance(phi, Fraction):
@@ -102,17 +139,9 @@ class LatticeConfig:
             raise ValueError("particle_count must be at least 1")
         if self.site_count < 2:
             raise ValueError("site_count must be at least 2")
-        phi = self.interaction_phase
-        if isinstance(phi, Fraction):
-            if not 0 < phi < 2:
-                raise ValueError("interaction_phase must lie strictly inside (0, 2*pi)")
-        elif isinstance(phi, (int, float)):
-            phi = float(phi)
-            if not 0.0 < phi < 2.0 * math.pi:
-                raise ValueError("interaction_phase must lie strictly inside (0, 2*pi)")
-            object.__setattr__(self, "interaction_phase", phi)
-        else:
-            raise TypeError("interaction_phase must be a float or a Fraction of pi")
+        object.__setattr__(
+            self, "interaction_phase", check_phase(self.interaction_phase, "interaction_phase")
+        )
         coin = self.free_coin
         if isinstance(coin, str):
             if coin not in _FREE_COINS:

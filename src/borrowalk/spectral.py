@@ -10,13 +10,21 @@ member, or through these blocks; the two routes must agree.
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .evolution import projected_step
-from .lattice import Ensemble, LatticeConfig, PureState, RIGHT, make_basis_state, phase_factor
+from .lattice import (
+    Ensemble,
+    PureState,
+    check_phase,
+    make_basis_state,
+    phase_factor,
+    turn_table,
+)
 
 _DEGENERACY_TOL = 1e-10
 
@@ -40,6 +48,7 @@ class MomentumBlock:
 def momentum_block(k: int, d: int, phi) -> MomentumBlock:
     if not 0 <= k < d:
         raise ValueError("momentum index must lie in [0, d)")
+    check_phase(phi)
     stay, flip = aligned_pair_amplitudes(phi)
     forward = phase_factor(Fraction(2 * k, d), -1)
     backward = phase_factor(Fraction(2 * k, d))
@@ -57,6 +66,7 @@ def block_eigenvalues(k: int, d: int, phi) -> tuple[complex, complex]:
     persistent eigenvalue +1 on the minus root at k = 0 and -1 on the plus
     root at k = d/2.
     """
+    check_phase(phi)
     stay, flip = aligned_pair_amplitudes(phi)
     w = phase_factor(Fraction(2 * k, d))
     cos_t, sin_t = w.real, w.imag
@@ -66,12 +76,55 @@ def block_eigenvalues(k: int, d: int, phi) -> tuple[complex, complex]:
 
 
 def spectrum_norms(d: int, phi) -> list[tuple[float, float, float]]:
-    """Rows (k/d, |lambda_plus|, |lambda_minus|) over all momentum sectors."""
-    rows = []
-    for k in range(d):
-        plus, minus = block_eigenvalues(k, d, phi)
-        rows.append((k / d, abs(plus), abs(minus)))
-    return rows
+    """Rows (k/d, |lambda_plus|, |lambda_minus|) over all momentum sectors.
+
+    Array form of block_eigenvalues over k = 0 .. d-1, equal to it bit for
+    bit: every complex operation is spelled out on real and imaginary arrays
+    in the order CPython's complex arithmetic uses.
+    """
+    if d < 1:
+        raise ValueError("ring size d must be at least 1")
+    check_phase(phi)
+    stay, flip = aligned_pair_amplitudes(phi)
+    ratio_sq = (stay / flip) ** 2
+    cos_t, sin_t = turn_table(2 * np.arange(d), d)
+    # 1.0 - ratio_sq * (sin_t * sin_t)
+    scaled = _mul(_parts(ratio_sq), (sin_t * sin_t, 0.0))
+    root = _mul(_parts(flip), _csqrt(1.0 - scaled[0], 0.0 - scaled[1]))
+    base = _mul(_parts(stay), (cos_t, 0.0))
+    plus = np.hypot(base[0] + root[0], base[1] + root[1])
+    minus = np.hypot(base[0] - root[0], base[1] - root[1])
+    return list(zip((np.arange(d) / d).tolist(), plus.tolist(), minus.tolist()))
+
+
+def _parts(z: complex) -> tuple[float, float]:
+    return z.real, z.imag
+
+
+def _mul(a, b):
+    """CPython's complex product on (real, imag) pairs of floats or arrays;
+    a float operand x enters as (x, 0.0), as CPython promotes it."""
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _csqrt(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cmath.sqrt over arrays, with CPython's algorithm; zero, subnormal and
+    non-finite entries are handed to cmath.sqrt itself."""
+    with np.errstate(all="ignore"):
+        ax = np.abs(re) / 8.0
+        ay = np.abs(im)
+        s = 2.0 * np.sqrt(ax + np.hypot(ax, ay / 8.0))
+        d = ay / (2.0 * s)
+    upper = re >= 0.0
+    out_re = np.where(upper, s, d)
+    out_im = np.copysign(np.where(upper, d, s), im)
+    tiny = sys.float_info.min
+    special = (np.abs(re) < tiny) & (ay < tiny) | ~np.isfinite(re) | ~np.isfinite(im)
+    for i in np.flatnonzero(special).tolist():
+        z = cmath.sqrt(complex(re[i], im[i]))
+        out_re[i], out_im[i] = z.real, z.imag
+    return out_re, out_im
 
 
 @dataclass(frozen=True)
@@ -164,26 +217,17 @@ def _survival_momentum(ensemble: Ensemble, t_max: int) -> list[tuple[int, float]
         raise ValueError("momentum method requires the identity free coin")
     _require_uniform_pair_mixture(ensemble)
     d = cfg.site_count
-    phi = cfg.interaction_phase
-    stay, flip = aligned_pair_amplitudes(phi)
-
-    diagonalizable = []
-    degenerate = []
-    for k in range(d):
-        sin_t = phase_factor(Fraction(2 * k, d)).imag
-        discriminant = flip * flip - (stay * sin_t) ** 2
-        block = momentum_block(k, d, phi).matrix
-        if abs(discriminant) <= _DEGENERACY_TOL:
-            degenerate.append(block)
-        else:
-            diagonalizable.append(block)
+    stay, flip = aligned_pair_amplitudes(cfg.interaction_phase)
+    blocks, discriminant = _pair_blocks(d, stay, flip)
+    degenerate_mask = np.hypot(*discriminant) <= _DEGENERACY_TOL
+    diagonalizable = blocks[~degenerate_mask]
+    degenerate = blocks[degenerate_mask]
 
     totals = np.zeros(t_max + 1)
     basis = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]
 
-    if diagonalizable:
-        stack = np.stack(diagonalizable)
-        eigenvalues, vectors = np.linalg.eig(stack)
+    if len(diagonalizable):
+        eigenvalues, vectors = np.linalg.eig(diagonalizable)
         inverses = np.linalg.inv(vectors)
         coords = [inverses[:, :, 0], inverses[:, :, 1]]
         powers = np.ones_like(eigenvalues)
@@ -203,3 +247,26 @@ def _survival_momentum(ensemble: Ensemble, t_max: int) -> list[tuple[int, float]
 
     probabilities = totals / (2 * d)
     return [(t, float(p)) for t, p in enumerate(probabilities)]
+
+
+def _pair_blocks(d: int, stay: complex, flip: complex):
+    """Every momentum_block matrix for the ring, stacked to shape (d, 2, 2),
+    and the discriminants flip**2 - (stay*sin(2*pi*k/d))**2, as (real, imag)
+    arrays; both equal the per-k scalar expressions bit for bit."""
+    doubled = 2 * np.arange(d)
+    backward = turn_table(doubled, d)
+    forward = turn_table(-doubled, d)
+    flip_sq = flip * flip
+    stay, flip = _parts(stay), _parts(flip)
+    blocks = np.empty((d, 2, 2), dtype=complex)
+    for (i, j), amp, turn in (
+        ((0, 0), stay, forward),
+        ((0, 1), flip, forward),
+        ((1, 0), flip, backward),
+        ((1, 1), stay, backward),
+    ):
+        blocks.real[:, i, j], blocks.imag[:, i, j] = _mul(amp, turn)
+    # flip * flip - (stay * sin_t) ** 2, where CPython squares z as 1 * (z * z)
+    scaled = _mul(stay, (backward[1], 0.0))
+    squared = _mul((1.0, 0.0), _mul(scaled, scaled))
+    return blocks, (flip_sq.real - squared[0], flip_sq.imag - squared[1])

@@ -141,22 +141,50 @@ def test_coboson_report_fields(capsys):
     assert quad["B_N"] == str(Fraction(1) + Fraction(17, 3))
 
 
-def test_reruns_are_byte_identical(tmp_path, monkeypatch):
+def test_reruns_are_byte_identical(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     argv = ["fidelity", "--t", "1,10,100", "--phi-grid", "36"]
-    monkeypatch.setenv("BORROMEAN_THREADS", "1")
     assert run(argv + ["--output", str(first)]) == 0
-    monkeypatch.setenv("BORROMEAN_THREADS", "4")
     assert run(argv + ["--output", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_scan_reruns_are_byte_identical(tmp_path, monkeypatch):
+def test_scan_reruns_are_byte_identical(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     argv = ["ghz-scan", "--n-values", "2,3", "--phi-grid", "24"]
-    monkeypatch.setenv("BORROMEAN_THREADS", "2")
     assert run(argv + ["--output", str(first)]) == 0
     assert run(argv + ["--output", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--phi", "0"],
+        ["spectrum", "--phi", "2pi"],
+        ["fidelity", "--phi", "0", "--t", "1"],
+        ["fidelity", "--phi", "7", "--t", "1"],
+    ],
+)
+def test_phase_outside_the_open_circle_exits_2(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--d", "0"],
+        ["spectrum", "--d", "-3"],
+        ["evolve", "--steps", "-1"],
+    ],
+)
+def test_empty_requests_exit_2(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
