@@ -24,7 +24,6 @@ from .bound_states import (
 from .cli import parse_phase
 from .cobosons import (
     CobosonReport,
-    FockState,
     b2_closed,
     coboson_norm,
     coboson_report,
@@ -34,13 +33,10 @@ from .cobosons import (
     ratio_approx,
 )
 from .evolution import (
-    StepOperator,
     apply_interaction,
     apply_shift,
     free_coin_matrix,
-    grover_pair_matrix,
     interaction_group_matrix,
-    pairwise_interaction_matrix,
     project_bound,
     projected_step,
     step,
@@ -87,14 +83,12 @@ __all__ = [
     "CobosonReport",
     "EigenReport",
     "Ensemble",
-    "FockState",
     "GhzSpec",
     "LEFT",
     "LatticeConfig",
     "MomentumBlock",
     "PureState",
     "RIGHT",
-    "StepOperator",
     "SurvivalSeries",
     "TripleSectorCoefficients",
     "aligned_pair_amplitudes",
@@ -115,13 +109,11 @@ __all__ = [
     "ghz_coin",
     "ghz_condition",
     "ghz_condition_closed",
-    "grover_pair_matrix",
     "inner_product",
     "interaction_group_matrix",
     "make_basis_state",
     "momentum_block",
     "norm_table",
-    "pairwise_interaction_matrix",
     "parse_phase",
     "persistence_closed",
     "persistence_numeric",

@@ -18,13 +18,12 @@ from math import comb
 
 import numpy as np
 
-from .evolution import StepOperator, interaction_group_matrix
+from .evolution import interaction_group_matrix, projected_step, step
 from .lattice import (
     Ensemble,
-    LEFT,
     LatticeConfig,
     PureState,
-    RIGHT,
+    colocated_unit,
     inner_product,
     phase_factor,
 )
@@ -88,15 +87,14 @@ def bound_state(config: LatticeConfig, arity: int, r: int = 0) -> PureState:
         raise ValueError("the alternating wave needs an even ring")
     sign = _BRANCH_SIGN[arity]
     amp = 1.0 / math.sqrt(2 * d)
-    all_right = (RIGHT,) * arity
-    all_left = (LEFT,) * arity
-    amplitudes: dict = {}
-    for x in range(d):
-        parity = -1.0 if (r == 1 and x % 2 == 1) else 1.0
-        site = (x,) * arity
-        amplitudes[(site, all_right)] = complex(parity * amp)
-        amplitudes[(site, all_left)] = complex(sign * parity * amp)
-    return PureState(config, amplitudes)
+    wave = np.full(d, amp)
+    if r == 1:
+        wave[1::2] = -amp
+    block = np.zeros((d, 1 << arity), dtype=complex)
+    block[:, 0] = wave
+    block[:, -1] = sign * wave
+    codes = np.arange(d, dtype=np.int64) * colocated_unit(arity, d)
+    return PureState.from_arrays(config, codes, block)
 
 
 @dataclass(frozen=True)
@@ -107,15 +105,19 @@ class EigenReport:
 
 
 def verify_eigenstate(state: PureState, projected: bool = False, tol: float = 1e-12) -> EigenReport:
-    """Estimate the step eigenvalue as <s|A|s> and measure ||A s - lambda s||."""
-    operator = StepOperator(state.config, projected)
-    image = operator.apply(state)
-    lam = inner_product(state, image)
-    acc = 0.0
-    for lab in set(image.amplitudes) | set(state.amplitudes):
-        delta = image.amplitudes.get(lab, 0j) - lam * state.amplitudes.get(lab, 0j)
-        acc += delta.real * delta.real + delta.imag * delta.imag
-    residual = math.sqrt(acc)
+    """Estimate the step eigenvalue by the Rayleigh quotient <s|A s>/<s|s> and
+    measure ||A s - lambda s|| relative to ||s||; any nonzero multiple of an
+    eigenvector passes."""
+    norm_sq = state.norm_sq()
+    if norm_sq == 0.0:
+        raise ValueError("the zero state has no eigenvalue")
+    image = projected_step(state) if projected else step(state)
+    lam = inner_product(state, image) / norm_sq
+    codes = np.union1d(state.codes, image.codes)
+    delta = np.zeros((len(codes), state.block.shape[1]), dtype=complex)
+    delta[np.searchsorted(codes, image.codes)] = image.block
+    delta[np.searchsorted(codes, state.codes)] -= lam * state.block
+    residual = math.sqrt(float(np.vdot(delta, delta).real) / norm_sq)
     return EigenReport(residual <= tol, lam, residual)
 
 
@@ -252,17 +254,22 @@ def remove_particle(state: PureState) -> Ensemble:
     n = cfg.particle_count
     if n < 2:
         raise ValueError("nothing to remove from a single particle")
+    d = cfg.site_count
     reduced_cfg = replace(cfg, particle_count=n - 1)
+    dim = state.block.shape[1]
+    rows, cols = state.entries()
+    sites, offsets = np.divmod(state.codes[rows], colocated_unit(n, d))
+    if offsets.any() or ((cols != 0) & (cols != dim - 1)).any():
+        raise ValueError("particle removal supports collectively bound states only")
+    reduced_unit = colocated_unit(n - 1, d)
+    reduced_dim = dim >> 1
     members: list[tuple[float, PureState]] = []
-    for pos, coins in sorted(state.amplitudes):
-        if len(set(pos)) != 1 or len(set(coins)) != 1:
-            raise ValueError("particle removal supports collectively bound states only")
-        amp = state.amplitudes[(pos, coins)]
+    for site, col, amp in zip(sites.tolist(), cols.tolist(), state.block[rows, cols].tolist()):
         weight = amp.real * amp.real + amp.imag * amp.imag
         if weight == 0.0:
             continue
-        member = PureState(
-            reduced_cfg, {(pos[:-1], coins[:-1]): complex(1.0)}, state.prune_epsilon
-        )
-        members.append((weight, member))
+        block = np.zeros((1, reduced_dim), dtype=complex)
+        block[0, col >> 1] = 1.0
+        codes = np.array([site * reduced_unit], dtype=np.int64)
+        members.append((weight, PureState.from_arrays(reduced_cfg, codes, block, state.prune_epsilon)))
     return Ensemble(members)

@@ -9,16 +9,17 @@ digits, LF line endings.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .bound_states import bound_state, remove_particle, scan_conditions, verify_eigenstate
 from .cobosons import coboson_report, depleted_norm
+from .evolution import projected_step, require_walk_fits, step, walk_rows
 from .fidelity import fidelity_sweep
-from .lattice import LatticeConfig, as_coin, make_basis_state, phase_grid, phase_radians, state_json_entries
-from .evolution import projected_step, step
+from .jsonout import dumps, records, walk_snapshots
+from .lattice import LatticeConfig, as_coin, make_basis_state, phase_grid, phase_radians
 from .spectral import spectrum_norms, survival_probability
 
 _PHASE_PATTERN = re.compile(r"^(\d+)?pi(?:/(\d+))?$")
@@ -60,17 +61,22 @@ def _parse_coin_list(text: str) -> tuple[int, ...]:
     return tuple(as_coin(part) for part in parts)
 
 
-def _emit(lines: list[str], path: str | None) -> None:
-    payload = "\n".join(lines) + "\n"
+def _write(chunks, path: str | None) -> None:
     if path is None:
-        sys.stdout.write(payload)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
     else:
         with open(path, "w", newline="") as handle:
-            handle.write(payload)
+            for chunk in chunks:
+                handle.write(chunk)
 
 
-def _emit_json(obj, path: str | None) -> None:
-    _emit([json.dumps(obj, indent=2)], path)
+def _emit(lines: list[str], path: str | None) -> None:
+    _write(("\n".join(lines), "\n"), path)
+
+
+def _emit_json(text: str, path: str | None) -> None:
+    _write((text, "\n"), path)
 
 
 def _require_json(args) -> None:
@@ -92,34 +98,28 @@ def _cmd_evolve(args) -> None:
     if args.steps < 0:
         raise ValueError("--steps must be non-negative")
     config = _config(args, args.n)
+    require_walk_fits(args.n, walk_rows(args.n, args.d, args.steps, args.projected))
     positions = _parse_int_list(args.positions) if args.positions else [0] * args.n
     coins = _parse_coin_list(args.coins) if args.coins else (1,) * args.n
     state = make_basis_state(config, positions, coins)
     advance = projected_step if args.projected else step
     snapshots = []
     for t in range(args.steps + 1):
-        snapshots.append(
-            {
-                "t": t,
-                "norm": float(state.norm()),
-                "amplitudes": state_json_entries(state),
-            }
-        )
+        snapshots.append((t, float(state.norm()), state))
         if t < args.steps:
             state = advance(state)
-    _emit_json(snapshots, args.output)
+    # written piece by piece, so the whole text is never held at once
+    _write(chain(walk_snapshots(snapshots), "\n"), args.output)
 
 
-def _eigen_entry(config: LatticeConfig, arity: int, r: int, tol: float) -> dict:
+_EIGEN_KEYS = ("n", "r", "is_eigenvector", "eigenvalue_re", "eigenvalue_im", "residual")
+
+
+def _eigen_entry(config: LatticeConfig, arity: int, r: int, tol: float) -> tuple:
+    # the bound state spans d codes, and one step spreads each over 2**n
+    require_walk_fits(arity, config.site_count << arity)
     report = verify_eigenstate(bound_state(config, arity, r), tol=tol)
-    return {
-        "n": arity,
-        "r": r,
-        "is_eigenvector": report.is_eigenvector,
-        "eigenvalue_re": report.eigenvalue.real,
-        "eigenvalue_im": report.eigenvalue.imag,
-        "residual": report.residual,
-    }
+    return (arity, r, report.is_eigenvector, report.eigenvalue.real, report.eigenvalue.imag, report.residual)
 
 
 def _cmd_check_eigen(args) -> None:
@@ -131,10 +131,11 @@ def _cmd_check_eigen(args) -> None:
             config = _config(args, arity)
             for r in r_values:
                 entries.append(_eigen_entry(config, arity, r, args.tol))
-        _emit_json(entries, args.output)
+        _emit_json(records(_EIGEN_KEYS, entries), args.output)
         return
     config = _config(args, args.n)
-    _emit_json(_eigen_entry(config, args.n, args.r, args.tol), args.output)
+    entry = _eigen_entry(config, args.n, args.r, args.tol)
+    _emit_json(dumps(dict(zip(_EIGEN_KEYS, entry))), args.output)
 
 
 def _cmd_ghz_scan(args) -> None:
@@ -156,20 +157,7 @@ def _cmd_ghz_scan(args) -> None:
             )
         )
     if args.format == "json":
-        _emit_json(
-            [
-                {
-                    "n": n,
-                    "phi": phi,
-                    "k": k,
-                    "sign": sign,
-                    "value": value,
-                    "closed_value": closed,
-                }
-                for n, phi, k, sign, value, closed in rows
-            ],
-            args.output,
-        )
+        _emit_json(records(("n", "phi", "k", "sign", "value", "closed_value"), rows), args.output)
         return
     lines = ["n,phi,k,sign,value,closed_value"]
     for n, phi, k, sign, value, closed in rows:
@@ -180,13 +168,7 @@ def _cmd_ghz_scan(args) -> None:
 def _cmd_spectrum(args) -> None:
     rows = spectrum_norms(args.d, args.phi)
     if args.format == "json":
-        _emit_json(
-            [
-                {"k_over_d": k, "abs_lambda_plus": plus, "abs_lambda_minus": minus}
-                for k, plus, minus in rows
-            ],
-            args.output,
-        )
+        _emit_json(records(("k_over_d", "abs_lambda_plus", "abs_lambda_minus"), rows), args.output)
         return
     lines = ["k_over_d,abs_lambda_plus,abs_lambda_minus"]
     for k, plus, minus in rows:
@@ -198,10 +180,12 @@ def _cmd_survival(args) -> None:
     if args.n not in (2, 3):
         raise ValueError("survival tracks the 2-particle or 3-particle remainder")
     parent_config = _config(args, args.n + 1)
+    if args.method == "direct":
+        require_walk_fits(args.n, walk_rows(args.n, args.d, args.t_max, projected=True))
     ensemble = remove_particle(bound_state(parent_config, args.n + 1))
     series = survival_probability(ensemble, args.t_max, method=args.method)
     if args.format == "json":
-        _emit_json([{"t": t, "p_B": p} for t, p in series.values], args.output)
+        _emit_json(records(("t", "p_B"), series.values), args.output)
         return
     lines = ["t,p_B"]
     for t, p in series.values:
@@ -214,7 +198,7 @@ def _cmd_fidelity(args) -> None:
     phases = [args.phi] if args.phi is not None else phase_grid(args.phi_grid)
     rows = fidelity_sweep(phases, t_values)
     if args.format == "json":
-        _emit_json([{"phi": phi, "t": t, "p": p} for phi, t, p in rows], args.output)
+        _emit_json(records(("phi", "t", "p"), rows), args.output)
         return
     lines = ["phi,t,p"]
     for phi, t, p in rows:
@@ -234,7 +218,7 @@ def _cmd_coboson(args) -> None:
     }
     if args.constituents == 3:
         payload["B_tilde_2"] = str(depleted_norm(args.d))
-    _emit_json(payload, args.output)
+    _emit_json(dumps(payload), args.output)
 
 
 def _add_common(parser: argparse.ArgumentParser, default_format: str) -> None:

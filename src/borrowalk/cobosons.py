@@ -13,32 +13,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 
-@dataclass(frozen=True)
-class FockState:
-    """Occupation list over a finite set of modes."""
-
-    occupations: tuple[int, ...]
-
-    @classmethod
-    def from_counts(cls, counts: dict[int, int], modes: int) -> "FockState":
-        occ = [0] * modes
-        for mode, n in counts.items():
-            if not 0 <= mode < modes:
-                raise ValueError("mode index out of range")
-            occ[mode] += n
-        return cls(tuple(occ))
-
-    def particle_count(self) -> int:
-        return sum(self.occupations)
-
-    def monomial_norm_sq(self) -> int:
-        """Squared norm of prod_i a_i^dag^{n_i} |0>."""
-        out = 1
-        for n in self.occupations:
-            out *= factorial(n)
-        return out
-
-
 def _partitions(n: int):
     """Integer partitions of n as descending tuples."""
     if n == 0:

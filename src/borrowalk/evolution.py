@@ -5,28 +5,29 @@ the phased pair projector over all m(m-1)/2 pairs.  In the rotated coin basis
 built from (|R>+|L>)/sqrt(2) and (|R>-|L>)/sqrt(2) that product is diagonal:
 a basis string whose symmetric factors number p picks up exp(i*phi*p(p-1)/2).
 The dense group matrix is assembled once per (m, phi) from this diagonal.
-An explicit product of embedded pair operators is kept alongside as an
-independent route for cross-checks; the step itself never uses it.
+
+States are arrays (see lattice.PureState).  The coin stage groups the rows by
+co-location pattern, of which n walkers have at most Bell(n), and applies one
+2**n x 2**n matrix per pattern; the shift moves every coin column to its new
+position code.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb
 
 import numpy as np
 
 from .lattice import (
-    LEFT,
-    Label,
     LatticeConfig,
     PureState,
-    RIGHT,
+    code_weights,
+    colocated_unit,
     phase_factor,
-    prune_amplitudes,
+    positions,
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -36,12 +37,12 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # columns ordered (R, L)
 _SIGN_BASIS = np.array([[1.0, -1.0], [1.0, 1.0]])
 
+# coin-stage matrices kept across steps, one per (lattice, co-location pattern)
+_PATTERN_CACHE = 32
 
-def grover_pair_matrix(phi) -> np.ndarray:
-    """Contact operator for one pair: identity plus a phased projector onto
-    the doubly symmetric coin combination.  Basis order (RR, RL, LR, LL)."""
-    sym_pair = np.full(4, 0.5)
-    return np.eye(4, dtype=complex) + (phase_factor(phi) - 1.0) * np.outer(sym_pair, sym_pair)
+# Bytes one walk may hold at once.  Requests that need more are refused
+# before any work starts.
+MAX_WALK_BYTES = 1 << 30
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +61,7 @@ def _sector_weights(m: int) -> np.ndarray:
     return weights
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def interaction_group_matrix(m: int, phi) -> np.ndarray:
     """Coin operator for m co-located particles, i.e. the full pair product.
 
@@ -75,41 +76,6 @@ def interaction_group_matrix(m: int, phi) -> np.ndarray:
     matrix = np.tensordot(phases, weights, axes=1) / (1 << m)
     matrix.setflags(write=False)
     return matrix
-
-
-def pairwise_interaction_matrix(m: int, phi, pair_order=None) -> np.ndarray:
-    """Same operator as interaction_group_matrix, built as an ordered product
-    of embedded pair operators.  Retained as an independent cross-check route;
-    pair_order may permute the (commuting) factors."""
-    if m < 2:
-        raise ValueError("a pair product needs at least 2 particles")
-    pairs = list(pair_order) if pair_order is not None else [
-        (i, j) for i in range(m) for j in range(i + 1, m)
-    ]
-    pair_op = grover_pair_matrix(phi)
-    total = np.eye(1 << m, dtype=complex)
-    for i, j in pairs:
-        total = _embed_pair(pair_op, i, j, m) @ total
-    return total
-
-
-def _embed_pair(pair_op: np.ndarray, i: int, j: int, m: int) -> np.ndarray:
-    dim = 1 << m
-    out = np.zeros((dim, dim), dtype=complex)
-    bi, bj = m - 1 - i, m - 1 - j
-    mask = ~((1 << bi) | (1 << bj))
-    for col in range(dim):
-        ci = (col >> bi) & 1
-        cj = (col >> bj) & 1
-        base = col & mask
-        sub_col = (ci << 1) | cj
-        for ri in (0, 1):
-            for rj in (0, 1):
-                w = pair_op[(ri << 1) | rj, sub_col]
-                if w == 0:
-                    continue
-                out[base | (ri << bi) | (rj << bj), col] += w
-    return out
 
 
 def free_coin_matrix(config: LatticeConfig) -> np.ndarray | None:
@@ -129,60 +95,124 @@ def free_coin_matrix(config: LatticeConfig) -> np.ndarray | None:
     )
 
 
-def apply_shift(state: PureState) -> PureState:
-    """Move every particle one site along its coin direction (periodic)."""
-    d = state.config.site_count
-    out: dict[Label, complex] = {}
-    for (pos, coins), amp in state.amplitudes.items():
-        moved = tuple((x + c) % d for x, c in zip(pos, coins))
-        out[(moved, coins)] = amp
-    return PureState(state.config, out, state.prune_epsilon)
+def walk_bytes(n: int, rows: int) -> int:
+    """Bytes a walk of n walkers holds at most while it spans `rows` position codes.
+
+    Per coin-block entry a step holds the block before and after the coin
+    stage and after the shift (complex, 16 bytes each) and a shifted code
+    (int64).  Per walker count, the contact coin of n co-located walkers is
+    contracted from (n+1) float 4**n sector weights into a complex 4**n
+    matrix, and the coin stage caches up to _PATTERN_CACHE complex 4**n
+    pattern matrices.
+    """
+    dim = 1 << n
+    return rows * dim * (3 * 16 + 8) + dim * dim * ((n + 1) * 8 + (1 + _PATTERN_CACHE) * 16)
+
+
+def walk_rows(n: int, d: int, steps: int, projected: bool = False) -> int:
+    """Most position codes a walk started on one code spans within `steps` steps.
+
+    Each walker moves one site per step, so it reaches at most steps + 1
+    sites.  A projected walk keeps co-located codes only, at most one per
+    reachable site, and a step spreads each of them over at most 2**n codes.
+    """
+    reach = min(d, steps + 1)
+    return min(reach**n, reach << n) if projected else reach**n
+
+
+def require_walk_fits(n: int, rows: int) -> None:
+    """Refuse a walk whose walk_bytes exceed MAX_WALK_BYTES."""
+    need = walk_bytes(n, rows)
+    if need > MAX_WALK_BYTES:
+        raise ValueError(
+            f"{n} walkers over up to {rows} position codes need about {need >> 20} MiB,"
+            f" more than the {MAX_WALK_BYTES >> 20} MiB limit"
+        )
+
+
+def _pattern_keys(places: np.ndarray) -> np.ndarray:
+    """Co-location pattern of every row of positions: bit k is set when the
+    k-th pair (i, j), i < j, shares a site.  Rows with equal keys group their
+    walkers alike."""
+    n = places.shape[1]
+    if n * (n - 1) // 2 > 62:
+        raise ValueError("the step engine handles at most 11 walkers")
+    keys = np.zeros(len(places), dtype=np.int64)
+    bit = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            keys |= (places[:, i] == places[:, j]).astype(np.int64) << bit
+            bit += 1
+    return keys
+
+
+@lru_cache(maxsize=_PATTERN_CACHE)
+def _coin_matrix(config: LatticeConfig, groups: tuple[tuple[int, ...], ...]) -> np.ndarray | None:
+    """Coin-stage matrix on all 2**n coins for walkers grouped by site: the
+    contact coin on every co-located group, the free coin on every lone
+    walker.  None when that is the identity."""
+    n = config.particle_count
+    free = free_coin_matrix(config)
+    if free is None and all(len(g) == 1 for g in groups):
+        return None
+    factors = [
+        interaction_group_matrix(len(g), config.interaction_phase) if len(g) > 1
+        else (free if free is not None else np.eye(2))
+        for g in groups
+    ]
+    # the Kronecker product orders the coin bits by group; put them back in
+    # particle order, row bits and column bits alike
+    order = np.argsort([i for g in groups for i in g])
+    tensor = reduce(np.kron, factors).reshape((2,) * (2 * n))
+    matrix = tensor.transpose([*order, *(n + order)]).reshape(1 << n, 1 << n).astype(complex)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _site_groups(places) -> tuple[tuple[int, ...], ...]:
+    """Particles grouped by the site they share, in order of first member."""
+    sites: dict[int, list[int]] = {}
+    for particle, x in enumerate(places):
+        sites.setdefault(x, []).append(particle)
+    return tuple(tuple(members) for members in sites.values())
 
 
 def apply_interaction(state: PureState) -> PureState:
     """Apply the coin stage: every co-located group gets the contact pair
-    product, every lone particle gets the configured free coin."""
+    product, every lone particle gets the configured free coin.  Amplitudes
+    below the state's prune_epsilon are then dropped."""
     cfg = state.config
-    phi = cfg.interaction_phase
-    free = free_coin_matrix(cfg)
-    out: dict[Label, complex] = {}
-    for (pos, coins), amp in state.amplitudes.items():
-        sites: dict[int, list[int]] = {}
-        for idx, x in enumerate(pos):
-            sites.setdefault(x, []).append(idx)
-        factors = []
-        for members in sites.values():
-            if len(members) >= 2:
-                factors.append((members, interaction_group_matrix(len(members), phi)))
-            elif free is not None:
-                factors.append((members, free))
-        if not factors:
-            out[(pos, coins)] = out.get((pos, coins), 0j) + amp
-            continue
-        branches = [(coins, amp)]
-        for members, matrix in factors:
-            width = len(members)
-            dim = 1 << width
-            next_branches = []
-            for cns, a in branches:
-                col = 0
-                for idx in members:
-                    col = (col << 1) | (0 if cns[idx] == RIGHT else 1)
-                column = matrix[:, col]
-                for row in range(dim):
-                    w = column[row]
-                    if w == 0:
-                        continue
-                    new_coins = list(cns)
-                    for offset, idx in enumerate(members):
-                        bit = (row >> (width - 1 - offset)) & 1
-                        new_coins[idx] = LEFT if bit else RIGHT
-                    next_branches.append((tuple(new_coins), a * w))
-            branches = next_branches
-        for cns, a in branches:
-            key = (pos, cns)
-            out[key] = out.get(key, 0j) + a
-    return PureState(cfg, prune_amplitudes(out, state.prune_epsilon), state.prune_epsilon)
+    block = state.block
+    places = positions(state.codes, cfg)
+    keys = _pattern_keys(places)
+    patterns, first = np.unique(keys, return_index=True)
+    matrices = [_coin_matrix(cfg, _site_groups(row)) for row in places[first].tolist()]
+    if len(patterns) == 1:
+        out = block.copy() if matrices[0] is None else block @ matrices[0].T
+    else:
+        out = np.empty_like(block)
+        for key, matrix in zip(patterns, matrices):
+            rows = np.flatnonzero(keys == key)
+            out[rows] = block[rows] if matrix is None else block[rows] @ matrix.T
+    out[np.abs(out) < state.prune_epsilon] = 0
+    kept = out.any(axis=1)
+    if not kept.all():
+        return PureState.from_arrays(cfg, state.codes[kept], out[kept], state.prune_epsilon)
+    return PureState.from_arrays(cfg, state.codes, out, state.prune_epsilon)
+
+
+def apply_shift(state: PureState) -> PureState:
+    """Move every particle one site along its coin direction (periodic)."""
+    cfg = state.config
+    n, d = cfg.particle_count, cfg.site_count
+    rows, cols = np.nonzero(state.block)
+    left = (cols[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    moved = (positions(state.codes, cfg)[rows] + 1 - 2 * left) % d
+    # a bijection on labels: no two amplitudes land on one (code, column)
+    codes, row = np.unique(moved @ code_weights(n, d), return_inverse=True)
+    out = np.zeros((len(codes), state.block.shape[1]), dtype=complex)
+    out[row, cols] = state.block[rows, cols]
+    return PureState.from_arrays(cfg, codes, out, state.prune_epsilon)
 
 
 def step(state: PureState) -> PureState:
@@ -193,27 +223,15 @@ def step(state: PureState) -> PureState:
 def project_bound(state: PureState) -> PureState:
     """Keep only amplitudes where all particles share one site and one coin
     direction, the subspace the bound multiplets move in."""
-    kept = {
-        lab: amp
-        for lab, amp in state.amplitudes.items()
-        if len(set(lab[0])) == 1 and len(set(lab[1])) == 1
-    }
-    return PureState(state.config, kept, state.prune_epsilon)
+    cfg = state.config
+    rows = state.codes % colocated_unit(cfg.particle_count, cfg.site_count) == 0
+    aligned = np.zeros((np.count_nonzero(rows), state.block.shape[1]), dtype=complex)
+    aligned[:, 0] = state.block[rows, 0]
+    aligned[:, -1] = state.block[rows, -1]
+    kept = aligned.any(axis=1)
+    return PureState.from_arrays(cfg, state.codes[rows][kept], aligned[kept], state.prune_epsilon)
 
 
 def projected_step(state: PureState) -> PureState:
     """Walk step followed by the collective projection; a contraction."""
     return project_bound(step(state))
-
-
-@dataclass(frozen=True)
-class StepOperator:
-    """Full step (norm preserving) or step plus projection (contracting)."""
-
-    config: LatticeConfig
-    projected: bool = False
-
-    def apply(self, state: PureState) -> PureState:
-        if state.config != self.config:
-            raise ValueError("state does not match this operator's lattice")
-        return projected_step(state) if self.projected else step(state)

@@ -1,18 +1,21 @@
 """Sparse amplitudes for N coined walkers on a ring of d sites.
 
 A basis label pairs a position tuple with a coin tuple; coins are +1 for a
-right mover and -1 for a left mover.  States are dictionaries from labels to
-complex amplitudes, pruned below a configurable magnitude.  Phases given as
-rational multiples of pi are tracked exactly, so resonance points such as
-two thirds of a turn do not pick up decimal round-off.
+right mover and -1 for a left mover.  A state stores its occupied position
+tuples as sorted integer codes, each with a dense row of coin amplitudes;
+the walk step prunes amplitudes below a configurable magnitude.  Phases
+given as rational multiples of pi are tracked exactly, so resonance points
+such as two thirds of a turn do not pick up decimal round-off.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +34,9 @@ _COIN_ALIASES = {
 }
 
 _FREE_COINS = ("identity", "hadamard")
+
+# position codes are int64
+_MAX_CODES = 2**63
 
 
 def as_coin(value) -> int:
@@ -139,6 +145,9 @@ class LatticeConfig:
             raise ValueError("particle_count must be at least 1")
         if self.site_count < 2:
             raise ValueError("site_count must be at least 2")
+        # d >= 2, so more than 63 particles never fit, and d**n stays small
+        if self.particle_count > 63 or self.site_count**self.particle_count > _MAX_CODES:
+            raise ValueError("site_count ** particle_count position codes exceed 64-bit integers")
         object.__setattr__(
             self, "interaction_phase", check_phase(self.interaction_phase, "interaction_phase")
         )
@@ -161,23 +170,141 @@ class LatticeConfig:
         return phase_factor(self.interaction_phase, m)
 
 
-def prune_amplitudes(amplitudes: dict[Label, complex], epsilon: float) -> dict[Label, complex]:
-    return {lab: a for lab, a in amplitudes.items() if a != 0 and abs(a) >= epsilon}
-
-
-@dataclass
 class PureState:
-    """Sparse wavefunction: a map from basis labels to complex amplitudes."""
+    """Wavefunction stored sparse over positions and dense over coins.
 
-    config: LatticeConfig
-    amplitudes: dict[Label, complex] = field(default_factory=dict)
-    prune_epsilon: float = 1e-14
+    `codes` holds the occupied position tuples as sorted, unique int64 codes
+    in base d, particle 0 most significant.  Row r of the complex `block`
+    holds the 2**n coin amplitudes at codes[r].  Bit n-1-i of a column index
+    is 1 when particle i moves left, so column 0 is all-right and the last
+    column all-left, the basis of the contact-coin matrices.  Zero amplitudes
+    are not stored and every row holds at least one nonzero amplitude.
+
+    `PureState(config, {(positions, coins): amplitude})` builds a state from
+    labels; `state.amplitudes` reads it back as a read-only mapping.
+    """
+
+    def __init__(self, config: LatticeConfig, amplitudes=None, prune_epsilon: float = 1e-14):
+        codes, block = _arrays_from_labels(config, amplitudes or {})
+        self._set(config, codes, block, prune_epsilon)
+
+    @classmethod
+    def from_arrays(cls, config: LatticeConfig, codes, block, prune_epsilon: float = 1e-14) -> "PureState":
+        """State over sorted unique `codes` whose rows of `block` are not all zero."""
+        state = cls.__new__(cls)
+        state._set(config, codes, block, prune_epsilon)
+        return state
+
+    def _set(self, config, codes, block, prune_epsilon) -> None:
+        block.setflags(write=False)
+        codes.setflags(write=False)
+        self.config = config
+        self.codes = codes
+        self.block = block
+        self.prune_epsilon = prune_epsilon
+        self._amplitudes = None
+
+    @property
+    def amplitudes(self) -> Mapping:
+        if self._amplitudes is None:
+            self._amplitudes = _Amplitudes(self)
+        return self._amplitudes
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, column) of every stored amplitude in label order: codes
+        ascending, then coins ascending with L before R, i.e. columns descending."""
+        rows, flipped = np.nonzero(self.block[:, ::-1])
+        return rows, self.block.shape[1] - 1 - flipped
 
     def norm_sq(self) -> float:
-        return sum(a.real * a.real + a.imag * a.imag for a in self.amplitudes.values())
+        return float(np.vdot(self.block, self.block).real)
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
+
+
+class _Amplitudes(Mapping):
+    """Read-only {(positions, coins): amplitude} view in label order.
+
+    Its length counts the stored amplitudes without building the labels.
+    """
+
+    def __init__(self, state: PureState):
+        self._state = state
+        self._labels = None
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._state.block))
+
+    def _dict(self) -> dict[Label, complex]:
+        if self._labels is None:
+            state = self._state
+            rows, cols = state.entries()
+            places = [tuple(p) for p in positions(state.codes, state.config).tolist()]
+            coins = coin_tuples(state.config.particle_count)
+            labels = [(places[r], coins[c]) for r, c in zip(rows.tolist(), cols.tolist())]
+            self._labels = dict(zip(labels, state.block[rows, cols].tolist()))
+        return self._labels
+
+    def __getitem__(self, label: Label) -> complex:
+        return self._dict()[label]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
+
+
+@lru_cache(maxsize=64)
+def code_weights(n: int, d: int) -> np.ndarray:
+    """Place values d**(n-1-i) of the position digits, particle 0 most significant."""
+    weights = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    weights.setflags(write=False)
+    return weights
+
+
+def positions(codes: np.ndarray, config: LatticeConfig) -> np.ndarray:
+    """Position tuples, shape (len(codes), n), of an array of position codes."""
+    weights = code_weights(config.particle_count, config.site_count)
+    return codes[:, None] // weights % config.site_count
+
+
+def colocated_unit(n: int, d: int) -> int:
+    """Code of n walkers all on site 1; site x has code x times this."""
+    return sum(d**i for i in range(n))
+
+
+@lru_cache(maxsize=None)
+def coin_tuples(n: int) -> tuple[tuple[int, ...], ...]:
+    """Coin tuple of every coin column, in column order."""
+    return tuple(
+        tuple(LEFT if (col >> (n - 1 - i)) & 1 else RIGHT for i in range(n)) for col in range(1 << n)
+    )
+
+
+def _arrays_from_labels(config: LatticeConfig, amplitudes) -> tuple[np.ndarray, np.ndarray]:
+    n, d = config.particle_count, config.site_count
+    items = [(label, complex(a)) for label, a in amplitudes.items() if a != 0]
+    if not items:
+        return np.empty(0, dtype=np.int64), np.empty((0, 1 << n), dtype=complex)
+    try:
+        places = np.array([label[0] for label, _ in items], dtype=np.int64)
+        coins = np.array([label[1] for label, _ in items], dtype=np.int64)
+    except (TypeError, ValueError, IndexError):
+        raise ValueError("a label pairs a position tuple with a coin tuple") from None
+    if places.shape != (len(items), n) or coins.shape != places.shape:
+        raise ValueError("expected one position and one coin per particle")
+    if ((places < 0) | (places >= d)).any():
+        raise ValueError("positions must lie in [0, d)")
+    if not np.isin(coins, (RIGHT, LEFT)).all():
+        raise ValueError("coins must be +1 (right) or -1 (left)")
+    codes = places @ code_weights(n, d)
+    cols = (coins == LEFT) @ (1 << np.arange(n - 1, -1, -1))
+    unique, row = np.unique(codes, return_inverse=True)
+    block = np.zeros((len(unique), 1 << n), dtype=complex)
+    block[row, cols] = [a for _, a in items]
+    return unique, block
 
 
 def make_basis_state(config: LatticeConfig, positions, coins) -> PureState:
@@ -193,19 +320,11 @@ def inner_product(bra: PureState, ket: PureState) -> complex:
     """<bra|ket>, conjugating the first argument (linear in the second)."""
     if bra.config != ket.config:
         raise ValueError("states live on different lattices")
-    if len(bra.amplitudes) <= len(ket.amplitudes):
-        total = 0j
-        for lab, a in bra.amplitudes.items():
-            b = ket.amplitudes.get(lab)
-            if b is not None:
-                total += a.conjugate() * b
-    else:
-        total = 0j
-        for lab, b in ket.amplitudes.items():
-            a = bra.amplitudes.get(lab)
-            if a is not None:
-                total += a.conjugate() * b
-    return total
+    if not len(ket.codes):
+        return 0j
+    at = np.minimum(np.searchsorted(ket.codes, bra.codes), len(ket.codes) - 1)
+    hit = ket.codes[at] == bra.codes
+    return complex(np.vdot(bra.block[hit], ket.block[at[hit]]))
 
 
 @dataclass
@@ -247,15 +366,12 @@ def state_json_entries(state: PureState) -> list[dict]:
 
     Field order is fixed: positions, coins, re, im.
     """
-    rows = []
-    for pos, cns in sorted(state.amplitudes):
-        a = state.amplitudes[(pos, cns)]
-        rows.append(
-            {
-                "positions": [int(x) for x in pos],
-                "coins": [coin_char(c) for c in cns],
-                "re": float(a.real),
-                "im": float(a.imag),
-            }
-        )
-    return rows
+    return [
+        {
+            "positions": list(pos),
+            "coins": [coin_char(c) for c in cns],
+            "re": a.real,
+            "im": a.imag,
+        }
+        for (pos, cns), a in state.amplitudes.items()
+    ]

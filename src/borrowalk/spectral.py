@@ -21,8 +21,10 @@ from .lattice import (
     Ensemble,
     PureState,
     check_phase,
+    coin_tuples,
     make_basis_state,
     phase_factor,
+    positions,
     turn_table,
 )
 
@@ -150,6 +152,23 @@ def survival_probability(ensemble: Ensemble, t_max: int, method: str = "direct")
     return SurvivalSeries(cfg.site_count, cfg.particle_count, cfg.interaction_phase, values)
 
 
+def _unit_label(state: PureState):
+    """(positions, coins) of a state holding one label with unit weight; None
+    for any other state.  Read from the arrays directly: survival checks
+    every one of the 2d members of a removal mixture."""
+    if len(state.codes) != 1:
+        return None
+    row = state.block[0].tolist()
+    cols = [col for col, a in enumerate(row) if a]
+    if len(cols) != 1:
+        return None
+    amp = row[cols[0]]
+    if abs(amp.real * amp.real + amp.imag * amp.imag - 1.0) > 1e-9:
+        return None
+    cfg = state.config
+    return tuple(positions(state.codes, cfg)[0].tolist()), coin_tuples(cfg.particle_count)[cols[0]]
+
+
 def _translation_key(state: PureState):
     """Canonical (positions, coins) for a single-label unit member, shifted so
     the first particle sits at the origin; None when that shape does not apply.
@@ -157,14 +176,12 @@ def _translation_key(state: PureState):
     The projected step commutes with ring translations, so members that only
     differ by a translation share one norm trajectory.
     """
-    if len(state.amplitudes) != 1:
+    label = _unit_label(state)
+    if label is None:
         return None
-    ((pos, coins), amp), = state.amplitudes.items()
-    if abs(amp.real * amp.real + amp.imag * amp.imag - 1.0) > 1e-9:
-        return None
+    pos, coins = label
     d = state.config.site_count
-    shifted = tuple((x - pos[0]) % d for x in pos)
-    return shifted, coins
+    return tuple((x - pos[0]) % d for x in pos), coins
 
 
 def _survival_direct(ensemble: Ensemble, t_max: int) -> list[tuple[int, float]]:
@@ -196,10 +213,10 @@ def _require_uniform_pair_mixture(ensemble: Ensemble) -> None:
     expected_weight = 1.0 / (2 * d)
     seen = set()
     for weight, member in ensemble.members:
-        key = _translation_key(member)
-        if key is None:
+        label = _unit_label(member)
+        if label is None:
             raise ValueError("momentum method expects single-label unit members")
-        ((pos, coins),) = member.amplitudes
+        pos, coins = label
         if len(set(pos)) != 1 or len(set(coins)) != 1:
             raise ValueError("momentum method expects co-located aligned members")
         if abs(weight - expected_weight) > 1e-9:

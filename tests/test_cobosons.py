@@ -6,7 +6,6 @@ import pytest
 
 from borrowalk.cobosons import (
     CobosonReport,
-    FockState,
     b2_closed,
     coboson_norm,
     coboson_report,
@@ -15,15 +14,6 @@ from borrowalk.cobosons import (
     power_sum_norm_sq,
     ratio_approx,
 )
-
-
-def test_fock_state_basics():
-    state = FockState.from_counts({0: 3, 2: 1}, modes=4)
-    assert state.occupations == (3, 0, 1, 0)
-    assert state.particle_count() == 4
-    assert state.monomial_norm_sq() == 6
-    with pytest.raises(ValueError):
-        FockState.from_counts({4: 1}, modes=4)
 
 
 def brute_force_power_sum(factors: int, modes: int, quanta: int) -> int:

@@ -1,0 +1,177 @@
+"""Properties of the array step engine on random small lattices.
+
+Lattices have n <= 3 walkers on d <= 5 sites, phases are exact pi fractions
+or floats, and the free coin is the identity, the Hadamard coin or an SU(2)
+rotation.  The step is checked against the dense oracle, for unitarity, and
+for covariance under ring translations and particle permutations.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import borrowalk.evolution as evolution
+from borrowalk.bound_states import bound_state, verify_eigenstate
+from borrowalk.cli import run
+from borrowalk.evolution import (
+    MAX_WALK_BYTES,
+    project_bound,
+    require_walk_fits,
+    step,
+    walk_bytes,
+    walk_rows,
+)
+from borrowalk.lattice import LatticeConfig, PureState, inner_product
+
+from oracles import dense_step_matrix, random_sparse_state, state_to_vector
+
+engine = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+pi_fractions = st.integers(1, 12).flatmap(lambda q: st.integers(1, 2 * q - 1).map(lambda p: Fraction(p, q)))
+radians = st.floats(min_value=1e-3, max_value=2 * math.pi - 1e-3)
+angles = st.floats(min_value=-math.pi, max_value=math.pi)
+coins = st.one_of(st.sampled_from(("identity", "hadamard")), st.tuples(angles, angles, angles))
+
+
+@st.composite
+def lattices(draw, max_dim=None):
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(2, 5))
+    if max_dim is not None:
+        while (2 * d) ** n > max_dim:
+            d -= 1
+    return LatticeConfig(n, d, draw(st.one_of(pi_fractions, radians)), draw(coins))
+
+
+@st.composite
+def states(draw, config):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = draw(st.integers(1, min(8, (2 * config.site_count) ** config.particle_count)))
+    return random_sparse_state(config, rng, labels)
+
+
+def _close(a: PureState, b: PureState, tol: float = 1e-12) -> bool:
+    labels = set(a.amplitudes) | set(b.amplitudes)
+    return all(abs(a.amplitudes.get(k, 0j) - b.amplitudes.get(k, 0j)) <= tol for k in labels)
+
+
+def _relabel(state: PureState, move) -> PureState:
+    return PureState(state.config, {move(pos, cns): a for (pos, cns), a in state.amplitudes.items()})
+
+
+@engine
+@given(st.data())
+def test_step_matches_the_dense_step_matrix(data):
+    # dense matrices up to 512 x 512 keep each example fast
+    cfg = data.draw(lattices(max_dim=512))
+    dense = dense_step_matrix(cfg)
+    for _ in range(3):
+        state = data.draw(states(cfg))
+        got = state_to_vector(step(state))
+        assert np.max(np.abs(got - dense @ state_to_vector(state))) <= 1e-12
+
+
+@engine
+@given(st.data())
+def test_step_is_unitary(data):
+    cfg = data.draw(lattices())
+    a, b = data.draw(states(cfg)), data.draw(states(cfg))
+    assert abs(inner_product(step(a), step(b)) - inner_product(a, b)) <= 1e-12
+    assert abs(step(a).norm_sq() - a.norm_sq()) <= 1e-12
+
+
+@engine
+@given(st.data())
+def test_step_commutes_with_translation_and_permutation(data):
+    cfg = data.draw(lattices())
+    state = data.draw(states(cfg))
+    n, d = cfg.particle_count, cfg.site_count
+    offset = data.draw(st.integers(1, d - 1))
+    perm = data.draw(st.permutations(range(n)))
+
+    def translate(pos, cns):
+        return tuple((x + offset) % d for x in pos), cns
+
+    def permute(pos, cns):
+        return tuple(pos[i] for i in perm), tuple(cns[i] for i in perm)
+
+    for move in (translate, permute):
+        assert _close(_relabel(step(state), move), step(_relabel(state, move)))
+
+
+@engine
+@given(st.data())
+def test_projection_is_idempotent(data):
+    cfg = data.draw(lattices())
+    state = step(data.draw(states(cfg)))
+    once = project_bound(state)
+    assert once.amplitudes == project_bound(once).amplitudes
+    for (pos, cns), a in once.amplitudes.items():
+        assert len(set(pos)) == 1 and len(set(cns)) == 1
+        assert state.amplitudes[(pos, cns)] == a
+
+
+@engine
+@given(st.data())
+def test_labels_read_back_unchanged(data):
+    cfg = data.draw(lattices())
+    labels = dict(data.draw(states(cfg)).amplitudes)
+    state = PureState(cfg, labels)
+    assert state.amplitudes == labels
+    assert list(state.amplitudes) == sorted(labels)
+    assert len(state.amplitudes) == len(labels)
+
+
+def test_labels_are_validated():
+    cfg = LatticeConfig(2, 4, Fraction(2, 3))
+    for bad in ({((0, 4), (1, 1)): 1.0}, {((0, 1), (1, 0)): 1.0}, {((0,), (1,)): 1.0}):
+        with pytest.raises(ValueError):
+            PureState(cfg, bad)
+
+
+@pytest.mark.parametrize("coin", ("identity", "hadamard"))
+def test_any_multiple_of_an_eigenvector_is_certified(coin):
+    cfg = LatticeConfig(3, 8, Fraction(2, 3), free_coin=coin)
+    twice = PureState(cfg, {k: 2 * a for k, a in bound_state(cfg, 3).amplitudes.items()})
+    report = verify_eigenstate(twice)
+    assert report.is_eigenvector
+    assert abs(report.eigenvalue - 1.0) <= 1e-12
+    assert report.residual <= 1e-12
+    with pytest.raises(ValueError):
+        verify_eigenstate(PureState(cfg, {}))
+
+
+def test_walk_size_arithmetic():
+    # 56 bytes per coin-block entry; (n+1) float and 33 complex 4**n tables
+    assert walk_bytes(2, 10) == 10 * 4 * 56 + 16 * (3 * 8 + 33 * 16)
+    assert walk_bytes(4, 1) == 16 * 56 + 256 * (5 * 8 + 33 * 16)
+    assert walk_rows(3, 8, 2) == 27
+    assert walk_rows(3, 8, 100) == 512
+    assert walk_rows(4, 100, 1000, projected=True) == 100 << 4
+    assert walk_rows(2, 100, 3, projected=True) == 16
+    # thirteen co-located walkers: the sector weights alone are 7.5 GB
+    assert (13 + 1) * 4**13 * 8 > MAX_WALK_BYTES
+    with pytest.raises(ValueError):
+        require_walk_fits(13, walk_rows(13, 8, 10))
+    require_walk_fits(4, walk_rows(4, 8, 10))
+    require_walk_fits(3, walk_rows(3, 100, 10_000, projected=True))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--n", "3", "--d", "8", "--steps", "2"],
+        ["check-eigen", "--all", "--d", "8"],
+        ["survival", "--n", "2", "--d", "8", "--t-max", "5"],
+    ],
+)
+def test_oversized_walks_are_refused_up_front(argv, monkeypatch, capsys):
+    monkeypatch.setattr(evolution, "MAX_WALK_BYTES", 1000)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")

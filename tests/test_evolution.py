@@ -5,13 +5,10 @@ import numpy as np
 import pytest
 
 from borrowalk.evolution import (
-    StepOperator,
     apply_interaction,
     apply_shift,
     free_coin_matrix,
-    grover_pair_matrix,
     interaction_group_matrix,
-    pairwise_interaction_matrix,
     project_bound,
     projected_step,
     step,
@@ -20,6 +17,7 @@ from borrowalk.lattice import LatticeConfig, PureState, inner_product, make_basi
 
 from oracles import (
     dense_step_matrix,
+    embed_two_qubit,
     group_matrix_oracle,
     grover4,
     label_index,
@@ -32,7 +30,7 @@ PHASES = (Fraction(2, 3), Fraction(1, 5), Fraction(1), 1.234)
 
 @pytest.mark.parametrize("phi", PHASES)
 def test_pair_matrix_matches_projector_definition(phi):
-    ours = grover_pair_matrix(phi)
+    ours = interaction_group_matrix(2, phi)
     assert np.allclose(ours, grover4(phi), atol=1e-15)
     assert np.allclose(ours.conj().T @ ours, np.eye(4), atol=1e-14)
 
@@ -41,7 +39,7 @@ def test_pair_matrix_matches_projector_definition(phi):
 @pytest.mark.parametrize("phi", (Fraction(2, 3), 1.234))
 def test_group_matrix_routes_agree(m, phi):
     diagonal_route = interaction_group_matrix(m, phi)
-    product_route = pairwise_interaction_matrix(m, phi)
+    product_route = _pair_product(m, phi)
     oracle = group_matrix_oracle(m, phi)
     assert np.allclose(diagonal_route, product_route, atol=1e-13)
     assert np.allclose(diagonal_route, oracle, atol=1e-13)
@@ -49,13 +47,22 @@ def test_group_matrix_routes_agree(m, phi):
     assert np.allclose(diagonal_route.conj().T @ diagonal_route, identity, atol=1e-13)
 
 
+def _pair_product(m, phi, pair_order=None):
+    """Contact coin as an ordered product of the oracle's embedded pair operators."""
+    pairs = pair_order if pair_order is not None else [(i, j) for i in range(m) for j in range(i + 1, m)]
+    total = np.eye(1 << m, dtype=complex)
+    for i, j in pairs:
+        total = embed_two_qubit(grover4(phi), i, j, m) @ total
+    return total
+
+
 def test_pair_factors_commute():
     phi = Fraction(2, 3)
-    default = pairwise_interaction_matrix(4, phi)
-    reversed_order = pairwise_interaction_matrix(
+    default = _pair_product(4, phi)
+    reversed_order = _pair_product(
         4, phi, pair_order=[(i, j) for i in range(4) for j in range(i + 1, 4)][::-1]
     )
-    shuffled = pairwise_interaction_matrix(
+    shuffled = _pair_product(
         4, phi, pair_order=[(1, 3), (0, 1), (2, 3), (0, 3), (1, 2), (0, 2)]
     )
     assert np.allclose(default, reversed_order, atol=1e-13)
@@ -183,18 +190,6 @@ def test_projected_step_is_a_contraction():
             current = state.norm_sq()
             assert current <= previous + 1e-12
             previous = current
-
-
-def test_step_operator_checks_lattice():
-    cfg = LatticeConfig(2, 4, Fraction(2, 3))
-    other = LatticeConfig(2, 6, Fraction(2, 3))
-    operator = StepOperator(cfg)
-    state = make_basis_state(other, (0, 0), "RR")
-    with pytest.raises(ValueError):
-        operator.apply(state)
-    bound = make_basis_state(cfg, (1, 1), "RR")
-    assert StepOperator(cfg).apply(bound).amplitudes == step(bound).amplitudes
-    assert StepOperator(cfg, projected=True).apply(bound).amplitudes == projected_step(bound).amplitudes
 
 
 def test_label_index_is_injective():

@@ -16,9 +16,10 @@ from borrowalk.lattice import (
     phase_factor,
     phase_grid,
     phase_radians,
-    prune_amplitudes,
     state_json_entries,
 )
+
+from borrowalk.evolution import apply_interaction
 
 from oracles import random_sparse_state
 
@@ -110,10 +111,21 @@ def test_config_phase_helpers():
     assert abs(cfg.phase() - np.exp(2j * math.pi / 3)) < 1e-15
 
 
+def test_position_codes_must_fit_64_bits():
+    LatticeConfig(3, 2_000_000, Fraction(2, 3))
+    for n, d in ((3, 2_100_000), (4, 10**5), (64, 2), (10**9, 8)):
+        with pytest.raises(ValueError):
+            LatticeConfig(n, d, Fraction(2, 3))
+
+
 def test_prune_amplitudes():
-    amps = {("a",): 1.0 + 0j, ("b",): 1e-16 + 0j, ("c",): 0j}
-    kept = prune_amplitudes(amps, 1e-14)
-    assert set(kept) == {("a",)}
+    # zeros are never stored; the coin stage drops what falls below epsilon
+    cfg = LatticeConfig(1, 4, Fraction(2, 3))
+    amps = {((0,), (1,)): 1.0 + 0j, ((1,), (1,)): 1e-16 + 0j, ((2,), (1,)): 0j}
+    state = PureState(cfg, amps, 1e-14)
+    assert set(state.amplitudes) == {((0,), (1,)), ((1,), (1,))}
+    kept = apply_interaction(state).amplitudes
+    assert set(kept) == {((0,), (1,))}
 
 
 def test_basis_state_wraps_and_validates():
