@@ -20,7 +20,7 @@ from .evolution import projected_step, require_walk_fits, step, walk_rows
 from .fidelity import fidelity_sweep
 from .jsonout import dumps, records, walk_snapshots
 from .lattice import LatticeConfig, as_coin, make_basis_state, phase_grid, phase_radians
-from .spectral import spectrum_norms, survival_probability
+from .spectral import require_momentum_fits, spectrum_norms, survival_probability
 
 _PHASE_PATTERN = re.compile(r"^(\d+)?pi(?:/(\d+))?$")
 
@@ -51,9 +51,12 @@ def _significant(value) -> str:
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise ValueError(f"cannot parse integer list {text!r}") from None
+    if not values:
+        raise ValueError(f"integer list {text!r} is empty")
+    return values
 
 
 def _parse_coin_list(text: str) -> tuple[int, ...]:
@@ -182,6 +185,8 @@ def _cmd_survival(args) -> None:
     parent_config = _config(args, args.n + 1)
     if args.method == "direct":
         require_walk_fits(args.n, walk_rows(args.n, args.d, args.t_max, projected=True))
+    else:
+        require_momentum_fits(args.d, args.t_max)
     ensemble = remove_particle(bound_state(parent_config, args.n + 1))
     series = survival_probability(ensemble, args.t_max, method=args.method)
     if args.format == "json":

@@ -44,6 +44,10 @@ _PATTERN_CACHE = 32
 # before any work starts.
 MAX_WALK_BYTES = 1 << 30
 
+# Entries (span x d) of each stacked array of momentum-block powers in the
+# momentum survival route; keeps its working set small whatever t_max is.
+MAX_POWER_ENTRIES = 1 << 15
+
 
 @lru_cache(maxsize=None)
 def _sector_weights(m: int) -> np.ndarray:
@@ -122,11 +126,14 @@ def walk_rows(n: int, d: int, steps: int, projected: bool = False) -> int:
 
 def require_walk_fits(n: int, rows: int) -> None:
     """Refuse a walk whose walk_bytes exceed MAX_WALK_BYTES."""
-    need = walk_bytes(n, rows)
+    require_bytes_fit(walk_bytes(n, rows), f"{n} walkers over up to {rows} position codes")
+
+
+def require_bytes_fit(need: int, request: str) -> None:
+    """Refuse a request that would hold more than MAX_WALK_BYTES."""
     if need > MAX_WALK_BYTES:
         raise ValueError(
-            f"{n} walkers over up to {rows} position codes need about {need >> 20} MiB,"
-            f" more than the {MAX_WALK_BYTES >> 20} MiB limit"
+            f"{request} would hold about {need >> 20} MiB, more than the {MAX_WALK_BYTES >> 20} MiB limit"
         )
 
 

@@ -1,22 +1,21 @@
-"""Momentum reduction of the projected pair evolution and survival probabilities.
+"""Momentum reduction of the projected evolution and survival probabilities.
 
-Restricted to states with both particles on one site and aligned coins, the
+Restricted to states with all particles on one site and aligned coins, the
 projected step is invariant under ring translations, so it splits into d
-two-by-two momentum blocks acting on the (both-right, both-left) pair of
+two-by-two momentum blocks acting on the (all-right, all-left) pair of
 amplitudes.  Post-removal mixtures are evolved either directly, member by
 member, or through these blocks; the two routes must agree.
 """
 
 from __future__ import annotations
 
-import cmath
-import sys
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .evolution import projected_step
+from .evolution import MAX_POWER_ENTRIES, interaction_group_matrix, projected_step, require_bytes_fit
 from .lattice import (
     Ensemble,
     PureState,
@@ -28,7 +27,12 @@ from .lattice import (
     turn_table,
 )
 
-_DEGENERACY_TOL = 1e-10
+# momentum_bytes per site (the two mixture members and the block entries)
+# and per output row (JSON text is the larger format), rounded up from
+# traced peaks of survival requests: 1.4 KiB per site for the pair, 1.7 KiB
+# for the triple, and 370 bytes per JSON row
+_SITE_BYTES = 2048
+_ROW_BYTES = 512
 
 
 def aligned_pair_amplitudes(phi) -> tuple[complex, complex]:
@@ -68,35 +72,40 @@ def block_eigenvalues(k: int, d: int, phi) -> tuple[complex, complex]:
     persistent eigenvalue +1 on the minus root at k = 0 and -1 on the plus
     root at k = d/2.
     """
-    check_phase(phi)
-    stay, flip = aligned_pair_amplitudes(phi)
-    w = phase_factor(Fraction(2 * k, d))
-    cos_t, sin_t = w.real, w.imag
-    root = flip * cmath.sqrt(1.0 - (stay / flip) ** 2 * (sin_t * sin_t))
-    base = stay * cos_t
-    return base + root, base - root
+    plus, minus = _block_roots(np.array([k]), d, phi)
+    return complex(plus[0]), complex(minus[0])
 
 
 def spectrum_norms(d: int, phi) -> list[tuple[float, float, float]]:
-    """Rows (k/d, |lambda_plus|, |lambda_minus|) over all momentum sectors.
-
-    Array form of block_eigenvalues over k = 0 .. d-1, equal to it bit for
-    bit: every complex operation is spelled out on real and imaginary arrays
-    in the order CPython's complex arithmetic uses.
-    """
+    """Rows (k/d, |lambda_plus|, |lambda_minus|) over all momentum sectors,
+    equal to block_eigenvalues at every k bit for bit."""
     if d < 1:
         raise ValueError("ring size d must be at least 1")
+    plus, minus = _block_roots(np.arange(d), d, phi)
+    # np.hypot, not np.abs, is what abs() of a Python complex computes
+    plus = np.hypot(plus.real, plus.imag)
+    minus = np.hypot(minus.real, minus.imag)
+    return list(zip((np.arange(d) / d).tolist(), plus.tolist(), minus.tolist()))
+
+
+def _block_roots(k: np.ndarray, d: int, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues stay*cos(t) +- root of the momentum blocks k, t = 2*pi*k/d,
+    with root = sqrt(flip**2 - (stay*sin(t))**2) on the branch where
+    root/flip has a non-negative real part.
+
+    No ratio of the amplitudes is formed, so a flip amplitude that is tiny or
+    rounds to zero at phases near 0 needs no special case.
+    """
     check_phase(phi)
     stay, flip = aligned_pair_amplitudes(phi)
-    ratio_sq = (stay / flip) ** 2
-    cos_t, sin_t = turn_table(2 * np.arange(d), d)
-    # 1.0 - ratio_sq * (sin_t * sin_t)
-    scaled = _mul(_parts(ratio_sq), (sin_t * sin_t, 0.0))
-    root = _mul(_parts(flip), _csqrt(1.0 - scaled[0], 0.0 - scaled[1]))
-    base = _mul(_parts(stay), (cos_t, 0.0))
-    plus = np.hypot(base[0] + root[0], base[1] + root[1])
-    minus = np.hypot(base[0] - root[0], base[1] - root[1])
-    return list(zip((np.arange(d) / d).tolist(), plus.tolist(), minus.tolist()))
+    cos_t, sin_t = turn_table(2 * k, d)
+    root = np.sqrt(flip * flip - (stay * sin_t) ** 2)
+    root[(root * flip.conjugate()).real < 0] *= -1
+    # there the root of flip**2 is flip itself; taking it exactly keeps the
+    # persistent eigenvalues +1 and -1 exact at resonance
+    root[sin_t == 0] = flip
+    base = stay * cos_t
+    return base + root, base - root
 
 
 def _parts(z: complex) -> tuple[float, float]:
@@ -108,25 +117,6 @@ def _mul(a, b):
     a float operand x enters as (x, 0.0), as CPython promotes it."""
     (ar, ai), (br, bi) = a, b
     return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _csqrt(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cmath.sqrt over arrays, with CPython's algorithm; zero, subnormal and
-    non-finite entries are handed to cmath.sqrt itself."""
-    with np.errstate(all="ignore"):
-        ax = np.abs(re) / 8.0
-        ay = np.abs(im)
-        s = 2.0 * np.sqrt(ax + np.hypot(ax, ay / 8.0))
-        d = ay / (2.0 * s)
-    upper = re >= 0.0
-    out_re = np.where(upper, s, d)
-    out_im = np.copysign(np.where(upper, d, s), im)
-    tiny = sys.float_info.min
-    special = (np.abs(re) < tiny) & (ay < tiny) | ~np.isfinite(re) | ~np.isfinite(im)
-    for i in np.flatnonzero(special).tolist():
-        z = cmath.sqrt(complex(re[i], im[i]))
-        out_re[i], out_im[i] = z.real, z.imag
-    return out_re, out_im
 
 
 @dataclass(frozen=True)
@@ -207,7 +197,7 @@ def _survival_direct(ensemble: Ensemble, t_max: int) -> list[tuple[int, float]]:
     return list(enumerate(totals))
 
 
-def _require_uniform_pair_mixture(ensemble: Ensemble) -> None:
+def _require_uniform_aligned_mixture(ensemble: Ensemble) -> None:
     cfg = ensemble.config
     d = cfg.site_count
     expected_weight = 1.0 / (2 * d)
@@ -226,54 +216,82 @@ def _require_uniform_pair_mixture(ensemble: Ensemble) -> None:
         raise ValueError("momentum method expects one member per site and direction")
 
 
+def _momentum_span(d: int, t_max: int) -> int:
+    """Powers B^0 .. B^(span-1) the momentum route stacks: about sqrt(t_max),
+    which balances the set-up loop against the chunk loop, with span * d
+    capped at MAX_POWER_ENTRIES."""
+    return max(1, min(math.isqrt(t_max + 1), MAX_POWER_ENTRIES // d))
+
+
+def momentum_bytes(d: int, t_max: int) -> int:
+    """Bytes the momentum route over d sites up to t_max holds at most.
+
+    Per stacked entry (span * d of them): four complex powers, four complex
+    products and two complex temporaries.  Per site: the site's two mixture
+    members and a dozen complex block entries.  Per output row: the float
+    totals, the (t, p) tuple and its printed line.
+    """
+    span = _momentum_span(d, t_max)
+    return span * d * 10 * 16 + d * _SITE_BYTES + (t_max + 1) * _ROW_BYTES
+
+
+def require_momentum_fits(d: int, t_max: int) -> None:
+    """Refuse a momentum survival request whose momentum_bytes exceed the limit."""
+    require_bytes_fit(momentum_bytes(d, t_max), f"momentum survival over {d} sites up to t={t_max}")
+
+
 def _survival_momentum(ensemble: Ensemble, t_max: int) -> list[tuple[int, float]]:
+    """p(t) = sum_k ||B_k^t||_F^2 / (2d) over the momentum blocks B_k of the
+    remainder's contact coin, whose corner entries give (stay, flip)."""
     cfg = ensemble.config
-    if cfg.particle_count != 2:
-        raise ValueError("momentum method handles the two-particle mixture only")
     if cfg.free_coin != "identity":
         raise ValueError("momentum method requires the identity free coin")
-    _require_uniform_pair_mixture(ensemble)
-    d = cfg.site_count
-    stay, flip = aligned_pair_amplitudes(cfg.interaction_phase)
-    blocks, discriminant = _pair_blocks(d, stay, flip)
-    degenerate_mask = np.hypot(*discriminant) <= _DEGENERACY_TOL
-    diagonalizable = blocks[~degenerate_mask]
-    degenerate = blocks[degenerate_mask]
-
-    totals = np.zeros(t_max + 1)
-    basis = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]
-
-    if len(diagonalizable):
-        eigenvalues, vectors = np.linalg.eig(diagonalizable)
-        inverses = np.linalg.inv(vectors)
-        coords = [inverses[:, :, 0], inverses[:, :, 1]]
-        powers = np.ones_like(eigenvalues)
-        for t in range(t_max + 1):
-            for c in coords:
-                recombined = np.einsum("kij,kj->ki", vectors, powers * c)
-                totals[t] += float(np.sum(recombined.real**2 + recombined.imag**2))
-            powers = powers * eigenvalues
-
-    for block in degenerate:
-        for e in basis:
-            vec = e.copy()
-            totals[0] += float(np.vdot(vec, vec).real)
-            for t in range(1, t_max + 1):
-                vec = block @ vec
-                totals[t] += float(np.vdot(vec, vec).real)
-
-    probabilities = totals / (2 * d)
-    return [(t, float(p)) for t, p in enumerate(probabilities)]
+    _require_uniform_aligned_mixture(ensemble)
+    n, d = cfg.particle_count, cfg.site_count
+    contact = interaction_group_matrix(n, cfg.interaction_phase)
+    blocks = _pair_blocks(d, complex(contact[0, 0]), complex(contact[0, -1]))
+    norms = _power_norms(blocks, t_max, _momentum_span(d, t_max))
+    return list(enumerate((norms / (2 * d)).tolist()))
 
 
-def _pair_blocks(d: int, stay: complex, flip: complex):
+def _power_norms(blocks: np.ndarray, t_max: int, span: int) -> np.ndarray:
+    """sum_k ||B_k^t||_F^2 for t = 0 .. t_max over stacked (d, 2, 2) blocks.
+
+    B^s for s < span is built by repeated products.  Chunk q then forms
+    B^s B^(q*span) for every s at once and advances by B^span, so the Python
+    loops run about span + t_max/span times.  Every block is a contraction,
+    so rounding error grows at most linearly in t.
+    """
+    block = blocks.reshape(-1, 4).T.copy()
+    powers = np.zeros((4, span, len(blocks)), dtype=complex)
+    powers[0, 0] = powers[3, 0] = 1.0
+    for s in range(1, span):
+        powers[:, s] = _product(block, powers[:, s - 1])
+    advance = _product(block, powers[:, -1])
+    current = powers[:, 0]
+    totals = np.empty(t_max + 1)
+    for start in range(0, t_max + 1, span):
+        rows = min(span, t_max + 1 - start)
+        # each entry's |z|^2 summed over k, read off its (real, imag) pairs
+        pairs = [z.view(float) for z in _product(powers[:, :rows], current)]
+        totals[start : start + rows] = sum(np.einsum("sk,sk->s", v, v) for v in pairs)
+        current = _product(advance, current)
+    return totals
+
+
+def _product(x, y):
+    """2x2 product x @ y, each given by its entries (00, 01, 10, 11) as arrays."""
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    return (x00 * y00 + x01 * y10, x00 * y01 + x01 * y11, x10 * y00 + x11 * y10, x10 * y01 + x11 * y11)
+
+
+def _pair_blocks(d: int, stay: complex, flip: complex) -> np.ndarray:
     """Every momentum_block matrix for the ring, stacked to shape (d, 2, 2),
-    and the discriminants flip**2 - (stay*sin(2*pi*k/d))**2, as (real, imag)
-    arrays; both equal the per-k scalar expressions bit for bit."""
+    equal to the per-k scalar expressions bit for bit."""
     doubled = 2 * np.arange(d)
     backward = turn_table(doubled, d)
     forward = turn_table(-doubled, d)
-    flip_sq = flip * flip
     stay, flip = _parts(stay), _parts(flip)
     blocks = np.empty((d, 2, 2), dtype=complex)
     for (i, j), amp, turn in (
@@ -283,7 +301,4 @@ def _pair_blocks(d: int, stay: complex, flip: complex):
         ((1, 1), stay, backward),
     ):
         blocks.real[:, i, j], blocks.imag[:, i, j] = _mul(amp, turn)
-    # flip * flip - (stay * sin_t) ** 2, where CPython squares z as 1 * (z * z)
-    scaled = _mul(stay, (backward[1], 0.0))
-    squared = _mul((1.0, 0.0), _mul(scaled, scaled))
-    return blocks, (flip_sq.real - squared[0], flip_sq.imag - squared[1])
+    return blocks

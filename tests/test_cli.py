@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 import borrowalk.cli as cli
+from borrowalk import evolution
 from borrowalk.cli import parse_phase, run
+from borrowalk.spectral import momentum_bytes
 
 
 def test_parse_phase_symbolic_forms():
@@ -89,6 +91,35 @@ def test_survival_csv(capsys):
     assert lines[0] == "t,p_B"
     assert lines[1] == "0,1"
     assert lines[2] == "1,0.625"
+
+
+def test_survival_triple_momentum_csv(capsys):
+    argv = ["survival", "--n", "3", "--d", "6", "--t-max", "12"]
+    assert run(argv) == 0
+    direct = capsys.readouterr().out.splitlines()
+    assert run(argv + ["--method", "momentum"]) == 0
+    momentum = capsys.readouterr().out.splitlines()
+    assert momentum[:2] == ["t,p_B", "0,1"]
+    assert len(momentum) == len(direct) == 14
+    for ours, theirs in zip(momentum[1:], direct[1:]):
+        assert float(ours.split(",")[1]) == pytest.approx(float(theirs.split(",")[1]), abs=1e-11)
+
+
+def test_momentum_survival_is_refused_before_work(monkeypatch, capsys):
+    argv = ["survival", "--d", "6", "--t-max", "3", "--method", "momentum"]
+    monkeypatch.setattr(evolution, "MAX_WALK_BYTES", momentum_bytes(6, 3) - 1)
+
+    def started(*args, **kwargs):
+        raise AssertionError("work started")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "remove_particle", started)
+        assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    monkeypatch.setattr(evolution, "MAX_WALK_BYTES", momentum_bytes(6, 3))
+    assert run(argv) == 0
 
 
 def test_fidelity_csv(capsys):
@@ -181,6 +212,8 @@ def test_phase_outside_the_open_circle_exits_2(argv, capsys):
         ["spectrum", "--d", "0"],
         ["spectrum", "--d", "-3"],
         ["evolve", "--steps", "-1"],
+        ["ghz-scan", "--n-values", ""],
+        ["fidelity", "--t", ""],
     ],
 )
 def test_empty_requests_exit_2(argv, capsys):

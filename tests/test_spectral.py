@@ -5,13 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from borrowalk import spectral
 from borrowalk.bound_states import bound_state, remove_particle
-from borrowalk.evolution import projected_step
+from borrowalk.evolution import MAX_POWER_ENTRIES, projected_step
 from borrowalk.lattice import Ensemble, LatticeConfig, make_basis_state
 from borrowalk.spectral import (
     aligned_pair_amplitudes,
     block_eigenvalues,
     momentum_block,
+    momentum_bytes,
     spectrum_norms,
     survival_probability,
 )
@@ -58,6 +60,22 @@ def test_block_eigenvalues_solve_the_blocks():
         determinant = matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0]
         for lam in ours:
             assert abs(lam * lam - trace * lam + determinant) <= 1e-12
+
+
+@pytest.mark.parametrize("phi", [1e-160, 5e-324])
+def test_block_eigenvalues_where_the_flip_amplitude_vanishes(phi):
+    d = 7
+    for k in range(d):
+        ours = block_eigenvalues(k, d, phi)
+        reference = np.linalg.eigvals(momentum_block(k, d, phi).matrix)
+        best = min(
+            abs(ours[0] - reference[0]) + abs(ours[1] - reference[1]),
+            abs(ours[0] - reference[1]) + abs(ours[1] - reference[0]),
+        )
+        assert best <= 1e-12
+    for _, plus, minus in spectrum_norms(d, phi):
+        assert plus == pytest.approx(1.0, abs=1e-12)
+        assert minus == pytest.approx(1.0, abs=1e-12)
 
 
 def test_branch_labels_pin_the_persistent_eigenvalues():
@@ -158,6 +176,58 @@ def test_survival_routes_agree_on_the_degenerate_ring():
         assert abs(p1 - p2) <= 1e-10
 
 
+# t_max + 1 a multiple of the span (3, 8, 15), one past it (1, 4, 9, 16) and
+# neither (2, 299, 300), besides t_max = 0
+CHUNK_EDGES = (0, 1, 2, 3, 4, 8, 9, 14, 15, 16, 299, 300)
+
+
+@pytest.mark.parametrize("d", [5, 6])
+@pytest.mark.parametrize("phi", [1e-6, 0.001, RESONANT, Fraction(1), 1.3, 6.2])
+def test_momentum_kernel_matches_direct(phi, d):
+    ensemble = _pair_remainder(d, phi)
+    direct = [p for _, p in survival_probability(ensemble, max(CHUNK_EDGES), method="direct").values]
+    for t_max in CHUNK_EDGES:
+        momentum = survival_probability(ensemble, t_max, method="momentum").values
+        assert [t for t, _ in momentum] == list(range(t_max + 1))
+        assert max(abs(p - q) for (_, p), q in zip(momentum, direct)) <= 1e-12
+
+
+@pytest.mark.parametrize("span", [1, 3])
+def test_momentum_kernel_under_a_capped_span(monkeypatch, span):
+    d = 6
+    monkeypatch.setattr(spectral, "MAX_POWER_ENTRIES", span * d)
+    assert spectral._momentum_span(d, 100) == span
+    ensemble = _pair_remainder(d, 1.3)
+    direct = survival_probability(ensemble, 100, method="direct").values
+    momentum = survival_probability(ensemble, 100, method="momentum").values
+    assert max(abs(p - q) for (_, p), (_, q) in zip(direct, momentum)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [6, 9])
+def test_survival_routes_agree_on_the_triple_remainder(d):
+    triple = remove_particle(bound_state(LatticeConfig(4, d, RESONANT), 4))
+    direct = survival_probability(triple, 60, method="direct").values
+    momentum = survival_probability(triple, 60, method="momentum").values
+    assert [t for t, _ in momentum] == [t for t, _ in direct]
+    assert max(abs(p - q) for (_, p), (_, q) in zip(direct, momentum)) <= 1e-12
+
+
+def test_momentum_span_and_bytes_arithmetic():
+    # span = isqrt(t_max + 1) while span * d fits the entry cap
+    assert spectral._momentum_span(20, 800) == 28
+    assert spectral._momentum_span(200, 1200) == 34
+    assert spectral._momentum_span(5, 0) == 1
+    # past the cap the span shrinks, down to one power per site
+    assert spectral._momentum_span(4000, 10**6) == MAX_POWER_ENTRIES // 4000
+    assert spectral._momentum_span(MAX_POWER_ENTRIES + 1, 10**6) == 1
+    site, row = spectral._SITE_BYTES, spectral._ROW_BYTES
+    assert momentum_bytes(20, 800) == 28 * 20 * 160 + 20 * site + 801 * row
+    # linear in t_max once the span is capped, so memory stays O(d + t_max)
+    d = 4000
+    step = momentum_bytes(d, 2 * 10**6) - momentum_bytes(d, 10**6)
+    assert step == 10**6 * row
+
+
 def test_survival_first_step_drop_is_five_eighths():
     series = survival_probability(_pair_remainder(10), 1, method="momentum")
     assert series.values[1][1] == pytest.approx(0.625, abs=1e-12)
@@ -196,9 +266,6 @@ def test_survival_rejects_bad_requests():
         survival_probability(ensemble, -1)
     with pytest.raises(ValueError):
         survival_probability(ensemble, 5, method="exact")
-    triple = remove_particle(bound_state(LatticeConfig(4, 6, RESONANT), 4))
-    with pytest.raises(ValueError):
-        survival_probability(triple, 5, method="momentum")
     hadamard = _pair_remainder(6, coin="hadamard")
     with pytest.raises(ValueError):
         survival_probability(hadamard, 5, method="momentum")
