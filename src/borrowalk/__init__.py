@@ -37,7 +37,6 @@ from .evolution import (
     apply_shift,
     free_coin_matrix,
     interaction_group_matrix,
-    project_bound,
     projected_step,
     step,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "phase_grid",
     "phase_radians",
     "power_sum_norm_sq",
-    "project_bound",
     "projected_step",
     "ratio_approx",
     "refine_condition_peak",

@@ -9,7 +9,8 @@ The dense group matrix is assembled once per (m, phi) from this diagonal.
 States are arrays (see lattice.PureState).  The coin stage groups the rows by
 co-location pattern, of which n walkers have at most Bell(n), and applies one
 2**n x 2**n matrix per pattern; the shift moves every coin column to its new
-position code.
+position code.  The projected step coins only the co-located rows and moves
+only their aligned entries, the ones the collective projection keeps.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # row 0 is the antisymmetric combination, row 1 the symmetric one,
 # columns ordered (R, L)
 _SIGN_BASIS = np.array([[1.0, -1.0], [1.0, 1.0]])
+
+# site offsets of the all-right and the all-left coin column in one step
+_MOVES = np.array([1, -1])
 
 # coin-stage matrices kept across steps, one per (lattice, co-location pattern)
 _PATTERN_CACHE = 32
@@ -117,11 +121,11 @@ def walk_rows(n: int, d: int, steps: int, projected: bool = False) -> int:
     """Most position codes a walk started on one code spans within `steps` steps.
 
     Each walker moves one site per step, so it reaches at most steps + 1
-    sites.  A projected walk keeps co-located codes only, at most one per
-    reachable site, and a step spreads each of them over at most 2**n codes.
+    sites.  A projected step coins and moves co-located codes only, so a
+    projected walk holds at most one code per reachable site.
     """
     reach = min(d, steps + 1)
-    return min(reach**n, reach << n) if projected else reach**n
+    return reach if projected else reach**n
 
 
 def require_walk_fits(n: int, rows: int) -> None:
@@ -227,18 +231,30 @@ def step(state: PureState) -> PureState:
     return apply_shift(apply_interaction(state))
 
 
-def project_bound(state: PureState) -> PureState:
-    """Keep only amplitudes where all particles share one site and one coin
-    direction, the subspace the bound multiplets move in."""
-    cfg = state.config
-    rows = state.codes % colocated_unit(cfg.particle_count, cfg.site_count) == 0
-    aligned = np.zeros((np.count_nonzero(rows), state.block.shape[1]), dtype=complex)
-    aligned[:, 0] = state.block[rows, 0]
-    aligned[:, -1] = state.block[rows, -1]
-    kept = aligned.any(axis=1)
-    return PureState.from_arrays(cfg, state.codes[rows][kept], aligned[kept], state.prune_epsilon)
-
-
 def projected_step(state: PureState) -> PureState:
-    """Walk step followed by the collective projection; a contraction."""
-    return project_bound(step(state))
+    """Walk step followed by the collective projection; a contraction.
+
+    Only a row with every walker on one site can end co-located and aligned,
+    so only those rows are coined: their all-right entry moves one site up,
+    their all-left entry one site down, and every other entry is dropped.
+    Entries below the state's prune_epsilon are dropped as in the coin stage.
+    """
+    cfg = state.config
+    n, d = cfg.particle_count, cfg.site_count
+    unit = colocated_unit(n, d)
+    rows = state.codes % unit == 0
+    block = state.block[rows]
+    matrix = _coin_matrix(cfg, (tuple(range(n)),))
+    if matrix is not None:
+        block = block @ matrix.T
+    last = (1 << n) - 1
+    # columns 0 and last, all right and all left; a view into the fresh block
+    ends = block[:, ::last]
+    ends[np.abs(ends) < state.prune_epsilon] = 0
+    moved = (state.codes[rows, None] // unit + _MOVES) % d
+    # zeros are not moved, so no -0.0 is stored
+    kept = ends != 0
+    codes, row = np.unique(moved[kept], return_inverse=True)
+    out = np.zeros((len(codes), 1 << n), dtype=complex)
+    out[row, kept.nonzero()[1] * last] = ends[kept]
+    return PureState.from_arrays(cfg, codes * unit, out, state.prune_epsilon)

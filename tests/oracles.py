@@ -15,7 +15,8 @@ from math import pi
 
 import numpy as np
 
-from borrowalk.lattice import LatticeConfig, PureState
+from borrowalk.evolution import step
+from borrowalk.lattice import LatticeConfig, PureState, colocated_unit
 
 
 def phi_to_radians(phi) -> float:
@@ -183,3 +184,20 @@ def random_sparse_state(config: LatticeConfig, rng: np.random.Generator, label_c
     weight = sum(abs(a) ** 2 for a in amplitudes.values()) ** 0.5
     amplitudes = {label: amp / weight for label, amp in amplitudes.items()}
     return PureState(config, amplitudes)
+
+
+def project_bound(state: PureState) -> PureState:
+    """Keep only amplitudes where all particles share one site and one coin
+    direction, the subspace the bound multiplets move in."""
+    cfg = state.config
+    rows = state.codes % colocated_unit(cfg.particle_count, cfg.site_count) == 0
+    aligned = np.zeros((np.count_nonzero(rows), state.block.shape[1]), dtype=complex)
+    aligned[:, 0] = state.block[rows, 0]
+    aligned[:, -1] = state.block[rows, -1]
+    kept = aligned.any(axis=1)
+    return PureState.from_arrays(cfg, state.codes[rows][kept], aligned[kept], state.prune_epsilon)
+
+
+def projected_step_reference(state: PureState) -> PureState:
+    """Full walk step followed by the collective projection."""
+    return project_bound(step(state))

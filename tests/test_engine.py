@@ -3,7 +3,9 @@
 Lattices have n <= 3 walkers on d <= 5 sites, phases are exact pi fractions
 or floats, and the free coin is the identity, the Hadamard coin or an SU(2)
 rotation.  The step is checked against the dense oracle, for unitarity, and
-for covariance under ring translations and particle permutations.
+for covariance under ring translations and particle permutations; the
+projected step is checked bit for bit against a full step followed by the
+collective projection.
 """
 
 import math
@@ -19,15 +21,21 @@ from borrowalk.bound_states import bound_state, verify_eigenstate
 from borrowalk.cli import run
 from borrowalk.evolution import (
     MAX_WALK_BYTES,
-    project_bound,
+    projected_step,
     require_walk_fits,
     step,
     walk_bytes,
     walk_rows,
 )
-from borrowalk.lattice import LatticeConfig, PureState, inner_product
+from borrowalk.lattice import LatticeConfig, PureState, inner_product, make_basis_state
 
-from oracles import dense_step_matrix, random_sparse_state, state_to_vector
+from oracles import (
+    dense_step_matrix,
+    project_bound,
+    projected_step_reference,
+    random_sparse_state,
+    state_to_vector,
+)
 
 engine = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -38,13 +46,13 @@ coins = st.one_of(st.sampled_from(("identity", "hadamard")), st.tuples(angles, a
 
 
 @st.composite
-def lattices(draw, max_dim=None):
+def lattices(draw, max_dim=None, phases=st.one_of(pi_fractions, radians)):
     n = draw(st.integers(1, 3))
     d = draw(st.integers(2, 5))
     if max_dim is not None:
         while (2 * d) ** n > max_dim:
             d -= 1
-    return LatticeConfig(n, d, draw(st.one_of(pi_fractions, radians)), draw(coins))
+    return LatticeConfig(n, d, draw(phases), draw(coins))
 
 
 @st.composite
@@ -115,6 +123,52 @@ def test_projection_is_idempotent(data):
         assert state.amplitudes[(pos, cns)] == a
 
 
+def _assert_same_bits(got: PureState, want: PureState) -> None:
+    assert np.array_equal(got.codes, want.codes)
+    # the block's float bits, so -0.0 and 0.0 differ as they do in the output
+    assert np.array_equal(got.block.view(np.uint64), want.block.view(np.uint64))
+    assert got.prune_epsilon == want.prune_epsilon
+
+
+# resonant, sign-flipping and vanishing contact phases, then any phase; at
+# 1e-160 the contact coin leaks amplitudes far below prune_epsilon into the
+# aligned columns
+@pytest.mark.parametrize(
+    "phases",
+    [st.just(phi) for phi in (Fraction(2, 3), Fraction(4, 3), Fraction(1), 1e-160)]
+    + [st.one_of(pi_fractions, radians)],
+    ids=("2pi/3", "4pi/3", "pi", "1e-160", "any"),
+)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_projected_step_is_the_projected_full_step_bit_for_bit(phases, data):
+    cfg = data.draw(lattices(phases=phases))
+    n, d = cfg.particle_count, cfg.site_count
+    # random labels, mostly not co-located, plus co-located rows in any coins
+    labels = dict(data.draw(states(cfg)).amplitudes)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for _ in range(data.draw(st.integers(0, 3))):
+        coins = tuple(int(c) for c in rng.choice((1, -1), size=n))
+        labels[((int(rng.integers(d)),) * n, coins)] = complex(rng.normal(), rng.normal())
+    state = PureState(cfg, labels)
+    for _ in range(data.draw(st.integers(1, 30))):
+        got = projected_step(state)
+        _assert_same_bits(got, projected_step_reference(state))
+        state = got
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_projected_step_of_the_empty_and_the_scattered_state(n):
+    cfg = LatticeConfig(n, 5, Fraction(2, 3), free_coin="hadamard")
+    empty = PureState(cfg, {})
+    _assert_same_bits(projected_step(empty), projected_step_reference(empty))
+    assert not len(projected_step(empty).codes)
+    if n > 1:
+        # no walker shares a site, so nothing stays co-located and aligned
+        scattered = make_basis_state(cfg, range(n), "R" * n)
+        assert not len(projected_step(scattered).codes)
+
+
 @engine
 @given(st.data())
 def test_labels_read_back_unchanged(data):
@@ -151,14 +205,30 @@ def test_walk_size_arithmetic():
     assert walk_bytes(4, 1) == 16 * 56 + 256 * (5 * 8 + 33 * 16)
     assert walk_rows(3, 8, 2) == 27
     assert walk_rows(3, 8, 100) == 512
-    assert walk_rows(4, 100, 1000, projected=True) == 100 << 4
-    assert walk_rows(2, 100, 3, projected=True) == 16
+    assert walk_rows(4, 100, 1000, projected=True) == 100
+    assert walk_rows(2, 100, 3, projected=True) == 4
     # thirteen co-located walkers: the sector weights alone are 7.5 GB
     assert (13 + 1) * 4**13 * 8 > MAX_WALK_BYTES
     with pytest.raises(ValueError):
         require_walk_fits(13, walk_rows(13, 8, 10))
     require_walk_fits(4, walk_rows(4, 8, 10))
     require_walk_fits(3, walk_rows(3, 100, 10_000, projected=True))
+
+
+@pytest.mark.parametrize(
+    "cfg, start",
+    [
+        (LatticeConfig(2, 40, Fraction(2, 3)), ((5, 5), "RL")),
+        (LatticeConfig(2, 7, 1.3, free_coin="hadamard"), ((3, 3), "RR")),
+        (LatticeConfig(3, 9, Fraction(4, 3), free_coin=(0.4, 0.7, -0.2)), ((0, 0, 0), "RLR")),
+        (LatticeConfig(4, 6, 2.0), ((2, 2, 2, 2), "LRRL")),
+    ],
+)
+def test_projected_walks_stay_within_the_row_bound(cfg, start):
+    state = make_basis_state(cfg, *start)
+    for steps in range(1, 61):
+        state = projected_step(state)
+        assert len(state.codes) <= walk_rows(cfg.particle_count, cfg.site_count, steps, projected=True)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from borrowalk.evolution import (
     apply_shift,
     free_coin_matrix,
     interaction_group_matrix,
-    project_bound,
     projected_step,
     step,
 )
@@ -21,6 +20,7 @@ from oracles import (
     group_matrix_oracle,
     grover4,
     label_index,
+    project_bound,
     random_sparse_state,
     state_to_vector,
 )
