@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .evolution import interaction_group_matrix, projected_step, step
+from .evolution import interaction_group_matrix, step
 from .lattice import (
     Ensemble,
     LatticeConfig,
@@ -104,14 +104,14 @@ class EigenReport:
     residual: float
 
 
-def verify_eigenstate(state: PureState, projected: bool = False, tol: float = 1e-12) -> EigenReport:
+def verify_eigenstate(state: PureState, tol: float = 1e-12) -> EigenReport:
     """Estimate the step eigenvalue by the Rayleigh quotient <s|A s>/<s|s> and
     measure ||A s - lambda s|| relative to ||s||; any nonzero multiple of an
     eigenvector passes."""
     norm_sq = state.norm_sq()
     if norm_sq == 0.0:
         raise ValueError("the zero state has no eigenvalue")
-    image = projected_step(state) if projected else step(state)
+    image = step(state)
     lam = inner_product(state, image) / norm_sq
     codes = np.union1d(state.codes, image.codes)
     delta = np.zeros((len(codes), state.block.shape[1]), dtype=complex)

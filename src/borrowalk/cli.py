@@ -106,13 +106,18 @@ def _cmd_evolve(args) -> None:
     coins = _parse_coin_list(args.coins) if args.coins else (1,) * args.n
     state = make_basis_state(config, positions, coins)
     advance = projected_step if args.projected else step
-    snapshots = []
-    for t in range(args.steps + 1):
-        snapshots.append((t, float(state.norm()), state))
-        if t < args.steps:
-            state = advance(state)
-    # written piece by piece, so the whole text is never held at once
+    # written piece by piece while the walk advances, so one state and one
+    # piece of text are held at a time, as require_walk_fits counts
+    snapshots = _walk(state, advance, args.steps)
     _write(chain(walk_snapshots(snapshots), "\n"), args.output)
+
+
+def _walk(state, advance, steps: int):
+    """(t, norm, state) for t = 0 .. steps, each state made when it is asked for."""
+    for t in range(steps + 1):
+        yield t, float(state.norm()), state
+        if t < steps:
+            state = advance(state)
 
 
 _EIGEN_KEYS = ("n", "r", "is_eigenvector", "eigenvalue_re", "eigenvalue_im", "residual")

@@ -242,19 +242,22 @@ def projected_step(state: PureState) -> PureState:
     cfg = state.config
     n, d = cfg.particle_count, cfg.site_count
     unit = colocated_unit(n, d)
-    rows = state.codes % unit == 0
-    block = state.block[rows]
+    sites, offsets = np.divmod(state.codes, unit)
+    block = state.block
+    if offsets.any():
+        rows = offsets == 0
+        block, sites = block[rows], sites[rows]
     matrix = _coin_matrix(cfg, (tuple(range(n)),))
-    if matrix is not None:
-        block = block @ matrix.T
+    # pruning below writes in place, so the block must be a fresh one
+    block = block.copy() if matrix is None else block @ matrix.T
     last = (1 << n) - 1
     # columns 0 and last, all right and all left; a view into the fresh block
     ends = block[:, ::last]
     ends[np.abs(ends) < state.prune_epsilon] = 0
-    moved = (state.codes[rows, None] // unit + _MOVES) % d
     # zeros are not moved, so no -0.0 is stored
     kept = ends != 0
-    codes, row = np.unique(moved[kept], return_inverse=True)
+    targets = (sites[:, None] + _MOVES)[kept] % d
+    codes = np.unique(targets)
     out = np.zeros((len(codes), 1 << n), dtype=complex)
-    out[row, kept.nonzero()[1] * last] = ends[kept]
+    out[np.searchsorted(codes, targets), kept.nonzero()[1] * last] = ends[kept]
     return PureState.from_arrays(cfg, codes * unit, out, state.prune_epsilon)

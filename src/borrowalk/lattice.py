@@ -270,6 +270,7 @@ def positions(codes: np.ndarray, config: LatticeConfig) -> np.ndarray:
     return codes[:, None] // weights % config.site_count
 
 
+@lru_cache(maxsize=64)
 def colocated_unit(n: int, d: int) -> int:
     """Code of n walkers all on site 1; site x has code x times this."""
     return sum(d**i for i in range(n))
@@ -318,7 +319,8 @@ def make_basis_state(config: LatticeConfig, positions, coins) -> PureState:
 
 def inner_product(bra: PureState, ket: PureState) -> complex:
     """<bra|ket>, conjugating the first argument (linear in the second)."""
-    if bra.config != ket.config:
+    # configs compare field by field; the same object needs no comparison
+    if bra.config is not ket.config and bra.config != ket.config:
         raise ValueError("states live on different lattices")
     if not len(ket.codes):
         return 0j

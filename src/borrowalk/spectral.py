@@ -3,8 +3,12 @@
 Restricted to states with all particles on one site and aligned coins, the
 projected step is invariant under ring translations, so it splits into d
 two-by-two momentum blocks acting on the (all-right, all-left) pair of
-amplitudes.  Post-removal mixtures are evolved either directly, member by
-member, or through these blocks; the two routes must agree.
+amplitudes.  Post-removal mixtures are evolved either directly or through
+these blocks; the two routes must agree.  The direct route evolves one member
+per orbit of ring translations and, for two or more walkers, of the
+reflection that mirrors positions and flips every coin: there the projected
+step applies the contact coin only, which commutes with flipping every coin,
+so mirrored members share one norm trajectory.
 """
 
 from __future__ import annotations
@@ -159,19 +163,29 @@ def _unit_label(state: PureState):
     return tuple(positions(state.codes, cfg)[0].tolist()), coin_tuples(cfg.particle_count)[cols[0]]
 
 
-def _translation_key(state: PureState):
-    """Canonical (positions, coins) for a single-label unit member, shifted so
-    the first particle sits at the origin; None when that shape does not apply.
+def _orbit_key(state: PureState):
+    """Canonical (positions, coins) of a single-label unit member's orbit; None
+    when that shape does not apply.
 
-    The projected step commutes with ring translations, so members that only
-    differ by a translation share one norm trajectory.
+    The projected step commutes with ring translations, so a member is keyed
+    by its form shifted to put the first particle at the origin.  For n >= 2
+    it also commutes with the reflection x -> -x that flips every coin: it
+    coins only rows with every walker on one site, with the contact coin,
+    whose entries depend on popcount(a ^ b) alone; the reflection swaps the
+    all-right and the all-left move; pruning acts entry by entry.  The key is
+    then the smaller of the shifted form and its mirror.  One walker gets the
+    free coin, which is not reflection-symmetric (Hadamard), so it is keyed
+    by translation alone.
     """
     label = _unit_label(state)
     if label is None:
         return None
     pos, coins = label
     d = state.config.site_count
-    return tuple((x - pos[0]) % d for x in pos), coins
+    key = tuple((x - pos[0]) % d for x in pos), coins
+    if len(pos) == 1:
+        return key
+    return min(key, (tuple((pos[0] - x) % d for x in pos), tuple(-c for c in coins)))
 
 
 def _survival_direct(ensemble: Ensemble, t_max: int) -> list[tuple[int, float]]:
@@ -179,7 +193,7 @@ def _survival_direct(ensemble: Ensemble, t_max: int) -> list[tuple[int, float]]:
     grouped: dict = {}
     loose: list[tuple[float, PureState]] = []
     for weight, member in ensemble.members:
-        key = _translation_key(member)
+        key = _orbit_key(member)
         if key is None:
             loose.append((weight, member))
         else:

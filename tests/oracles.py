@@ -201,3 +201,16 @@ def project_bound(state: PureState) -> PureState:
 def projected_step_reference(state: PureState) -> PureState:
     """Full walk step followed by the collective projection."""
     return project_bound(step(state))
+
+
+def survival_by_members(ensemble, t_max: int) -> list[tuple[int, float]]:
+    """(t, sum_w w ||P^t member||^2) for t = 0 .. t_max, with every member of
+    the mixture evolved on its own by the reference projected step."""
+    totals = [0.0] * (t_max + 1)
+    for weight, member in ensemble.members:
+        current = member
+        for t in range(t_max + 1):
+            totals[t] += weight * current.norm_sq()
+            if t < t_max:
+                current = projected_step_reference(current)
+    return list(enumerate(totals))

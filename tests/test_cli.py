@@ -1,4 +1,6 @@
 import json
+import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -152,6 +154,23 @@ def test_evolve_snapshots(capsys):
     norms = [snap["norm"] for snap in snapshots]
     assert norms[0] == pytest.approx(1.0)
     assert norms[2] <= norms[1] <= norms[0] + 1e-12
+
+
+def test_evolve_holds_one_snapshot_at_a_time():
+    # a projected walk from one code holds about t rows at step t; keeping
+    # every snapshot would hold about t**2 / 2 rows at once
+    argv = ["evolve", "--n", "2", "--d", "4000", "--projected", "-o", os.devnull, "--steps"]
+    assert run([*argv, "5"]) == 0
+    peaks = []
+    for steps in (40, 200):
+        tracemalloc.start()
+        try:
+            assert run([*argv, str(steps)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 2 KiB per extra step covers one state's rows and their text pieces
+    assert peaks[1] - peaks[0] < (200 - 40) * 2048
 
 
 def test_coboson_report_fields(capsys):

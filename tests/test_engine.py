@@ -157,6 +157,26 @@ def test_projected_step_is_the_projected_full_step_bit_for_bit(phases, data):
         state = got
 
 
+@engine
+@given(st.data())
+def test_projected_walks_of_mirror_images_keep_equal_norms(data):
+    # for two or more walkers only the contact coin acts, and flipping every
+    # coin leaves it unchanged; survival groups mirrored members on this
+    n = data.draw(st.integers(2, 4))
+    cfg = LatticeConfig(n, data.draw(st.integers(2, 6)), data.draw(st.one_of(pi_fractions, radians)), data.draw(coins))
+    d = cfg.site_count
+    labels = dict(data.draw(states(cfg)).amplitudes)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for _ in range(data.draw(st.integers(1, 4))):
+        cns = tuple(int(c) for c in rng.choice((1, -1), size=n))
+        labels[((int(rng.integers(d)),) * n, cns)] = complex(rng.normal(), rng.normal())
+    state = PureState(cfg, labels)
+    mirror = _relabel(state, lambda pos, cns: (tuple(-x % d for x in pos), tuple(-c for c in cns)))
+    for _ in range(30):
+        state, mirror = projected_step(state), projected_step(mirror)
+        assert abs(state.norm_sq() - mirror.norm_sq()) <= 1e-13
+
+
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_projected_step_of_the_empty_and_the_scattered_state(n):
     cfg = LatticeConfig(n, 5, Fraction(2, 3), free_coin="hadamard")

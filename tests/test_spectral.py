@@ -8,7 +8,7 @@ import pytest
 from borrowalk import spectral
 from borrowalk.bound_states import bound_state, remove_particle
 from borrowalk.evolution import MAX_POWER_ENTRIES, projected_step
-from borrowalk.lattice import Ensemble, LatticeConfig, make_basis_state
+from borrowalk.lattice import Ensemble, LatticeConfig, PureState, make_basis_state
 from borrowalk.spectral import (
     aligned_pair_amplitudes,
     block_eigenvalues,
@@ -17,6 +17,8 @@ from borrowalk.spectral import (
     spectrum_norms,
     survival_probability,
 )
+
+from oracles import survival_by_members
 
 RESONANT = Fraction(2, 3)
 
@@ -210,6 +212,65 @@ def test_survival_routes_agree_on_the_triple_remainder(d):
     momentum = survival_probability(triple, 60, method="momentum").values
     assert [t for t, _ in momentum] == [t for t, _ in direct]
     assert max(abs(p - q) for (_, p), (_, q) in zip(direct, momentum)) <= 1e-12
+
+
+def _mixed_members(cfg: LatticeConfig) -> Ensemble:
+    """Unit members in four coin patterns on co-located and scattered sites,
+    their mirrors and translates among them, plus a two-label member and a
+    co-located member of norm below one."""
+    n, d = cfg.particle_count, cfg.site_count
+    rng = np.random.default_rng(d * 10 + n)
+    members = []
+    for x in (0, 1, d - 2):
+        for coins in ("R" * n, "L" * n, ("RL" * n)[:n], ("LR" * n)[:n]):
+            for pos in ((x,) * n, [(x + i) % d for i in range(n)]):
+                members.append((float(rng.uniform(0.1, 1.0)), make_basis_state(cfg, pos, coins)))
+    two_labels = {((1,) * n, (1,) * n): 0.6, ((2,) * n, (-1,) * n): 0.8j}
+    members.append((0.5, PureState(cfg, two_labels)))
+    members.append((0.25, PureState(cfg, {((3,) * n, (-1,) * n): 0.5})))
+    return Ensemble(members)
+
+
+def _removal_mixture(n: int, coin: str) -> Ensemble:
+    return remove_particle(bound_state(LatticeConfig(n + 1, 7, 1.3, free_coin=coin), n + 1))
+
+
+@pytest.mark.parametrize(
+    "ensemble",
+    [
+        _mixed_members(LatticeConfig(1, 5, RESONANT, free_coin="hadamard")),
+        _mixed_members(LatticeConfig(1, 6, 1.3, free_coin=(0.4, 0.7, -0.2))),
+        _mixed_members(LatticeConfig(2, 5, RESONANT)),
+        _mixed_members(LatticeConfig(2, 6, 1.3, free_coin="hadamard")),
+        _mixed_members(LatticeConfig(3, 5, Fraction(4, 3), free_coin=(0.4, 0.7, -0.2))),
+        _mixed_members(LatticeConfig(3, 4, 1e-160, free_coin="hadamard")),
+        _removal_mixture(2, "identity"),
+        _removal_mixture(2, "hadamard"),
+        _removal_mixture(3, "identity"),
+        _removal_mixture(3, "hadamard"),
+    ],
+    ids=[*(f"mixed-{i}" for i in range(6)), *(f"removal-{i}" for i in range(4))],
+)
+def test_grouped_direct_survival_matches_every_member_evolved(ensemble):
+    grouped = spectral._survival_direct(ensemble, 30)
+    every = survival_by_members(ensemble, 30)
+    assert [t for t, _ in grouped] == [t for t, _ in every]
+    assert max(abs(p - q) for (_, p), (_, q) in zip(grouped, every)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_removal_mixture_takes_one_walk(monkeypatch, n):
+    # the all-right and all-left remainders are mirror images of each other
+    calls = []
+
+    def counted(state):
+        calls.append(1)
+        return projected_step(state)
+
+    monkeypatch.setattr(spectral, "projected_step", counted)
+    ensemble = remove_particle(bound_state(LatticeConfig(n + 1, 9, 1.3), n + 1))
+    survival_probability(ensemble, 12, method="direct")
+    assert len(calls) == 12
 
 
 def test_momentum_span_and_bytes_arithmetic():
