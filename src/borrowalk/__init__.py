@@ -21,7 +21,6 @@ from .bound_states import (
     scan_conditions,
     verify_eigenstate,
 )
-from .cli import parse_phase
 from .cobosons import (
     CobosonReport,
     b2_closed,
@@ -59,6 +58,7 @@ from .lattice import (
     ensemble_overlap,
     inner_product,
     make_basis_state,
+    parse_phase,
     phase_factor,
     phase_grid,
     phase_radians,

@@ -248,7 +248,8 @@ def remove_particle(state: PureState) -> Ensemble:
     Every stored label must put all particles on one site with one shared
     coin direction.  Conditioning on the removed particle then distinguishes
     the remaining labels completely, so the reduced state is the diagonal
-    mixture of shortened labels weighted by squared amplitudes.
+    mixture of shortened labels weighted by squared amplitudes, in label
+    order, held as arrays.
     """
     cfg = state.config
     n = cfg.particle_count
@@ -261,15 +262,14 @@ def remove_particle(state: PureState) -> Ensemble:
     sites, offsets = np.divmod(state.codes[rows], colocated_unit(n, d))
     if offsets.any() or ((cols != 0) & (cols != dim - 1)).any():
         raise ValueError("particle removal supports collectively bound states only")
-    reduced_unit = colocated_unit(n - 1, d)
-    reduced_dim = dim >> 1
-    members: list[tuple[float, PureState]] = []
-    for site, col, amp in zip(sites.tolist(), cols.tolist(), state.block[rows, cols].tolist()):
-        weight = amp.real * amp.real + amp.imag * amp.imag
-        if weight == 0.0:
-            continue
-        block = np.zeros((1, reduced_dim), dtype=complex)
-        block[0, col >> 1] = 1.0
-        codes = np.array([site * reduced_unit], dtype=np.int64)
-        members.append((weight, PureState.from_arrays(reduced_cfg, codes, block, state.prune_epsilon)))
-    return Ensemble(members)
+    amps = state.block[rows, cols]
+    weights = amps.real * amps.real + amps.imag * amps.imag
+    # a squared modulus can underflow to zero
+    kept = weights != 0.0
+    return Ensemble.of_labels(
+        reduced_cfg,
+        sites[kept] * colocated_unit(n - 1, d),
+        cols[kept] >> 1,
+        weights[kept],
+        state.prune_epsilon,
+    )

@@ -9,9 +9,7 @@ digits, LF line endings.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
-from fractions import Fraction
 from itertools import chain
 
 from .bound_states import bound_state, remove_particle, scan_conditions, verify_eigenstate
@@ -19,31 +17,8 @@ from .cobosons import coboson_report, depleted_norm
 from .evolution import projected_step, require_walk_fits, step, walk_rows
 from .fidelity import fidelity_sweep
 from .jsonout import dumps, records, walk_snapshots
-from .lattice import LatticeConfig, as_coin, make_basis_state, phase_grid, phase_radians
+from .lattice import LatticeConfig, as_coin, make_basis_state, parse_phase, phase_grid, phase_radians
 from .spectral import require_momentum_fits, spectrum_norms, survival_probability
-
-_PHASE_PATTERN = re.compile(r"^(\d+)?pi(?:/(\d+))?$")
-
-
-def parse_phase(text: str) -> Fraction | float:
-    """Read a phase flag.
-
-    Strings shaped like '2pi/3' are kept as exact rational multiples of pi so
-    the resonant cases stay resonant; anything else is read as radians.
-    """
-    cleaned = text.strip().lower().replace(" ", "")
-    match = _PHASE_PATTERN.match(cleaned)
-    if match:
-        numerator = int(match.group(1) or 1)
-        denominator = int(match.group(2) or 1)
-        if denominator == 0:
-            raise ValueError(f"cannot parse phase {text!r}")
-        return Fraction(numerator, denominator)
-    try:
-        return float(cleaned)
-    except ValueError:
-        raise ValueError(f"cannot parse phase {text!r}") from None
-
 
 def _significant(value) -> str:
     return f"{float(value):.12g}"

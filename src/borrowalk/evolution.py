@@ -231,6 +231,16 @@ def step(state: PureState) -> PureState:
     return apply_shift(apply_interaction(state))
 
 
+@lru_cache(maxsize=_PATTERN_CACHE)
+def _projection(config: LatticeConfig) -> tuple[int, np.ndarray | None, int]:
+    """What the projected step needs of its lattice: the code of every walker
+    on site 1, the transposed contact coin of all n walkers on one site (None
+    for the identity) and the all-left column."""
+    n = config.particle_count
+    matrix = _coin_matrix(config, (tuple(range(n)),))
+    return colocated_unit(n, config.site_count), None if matrix is None else matrix.T, (1 << n) - 1
+
+
 def projected_step(state: PureState) -> PureState:
     """Walk step followed by the collective projection; a contraction.
 
@@ -238,26 +248,32 @@ def projected_step(state: PureState) -> PureState:
     so only those rows are coined: their all-right entry moves one site up,
     their all-left entry one site down, and every other entry is dropped.
     Entries below the state's prune_epsilon are dropped as in the coin stage.
+    The empty state is returned as it is.  Every row of the output is
+    co-located, so the output carries its sites and the lattice's constants
+    to the next projected step.
     """
+    if not len(state.codes):
+        return state
     cfg = state.config
-    n, d = cfg.particle_count, cfg.site_count
-    unit = colocated_unit(n, d)
-    sites, offsets = np.divmod(state.codes, unit)
     block = state.block
-    if offsets.any():
-        rows = offsets == 0
-        block, sites = block[rows], sites[rows]
-    matrix = _coin_matrix(cfg, (tuple(range(n)),))
+    if state.colocated is None:
+        constants = _projection(cfg)
+        sites, offsets = np.divmod(state.codes, constants[0])
+        if offsets.any():
+            rows = offsets == 0
+            block, sites = block[rows], sites[rows]
+    else:
+        sites, constants = state.colocated
+    unit, coin, last = constants
     # pruning below writes in place, so the block must be a fresh one
-    block = block.copy() if matrix is None else block @ matrix.T
-    last = (1 << n) - 1
+    block = block.copy() if coin is None else block @ coin
     # columns 0 and last, all right and all left; a view into the fresh block
     ends = block[:, ::last]
     ends[np.abs(ends) < state.prune_epsilon] = 0
     # zeros are not moved, so no -0.0 is stored
     kept = ends != 0
-    targets = (sites[:, None] + _MOVES)[kept] % d
-    codes = np.unique(targets)
-    out = np.zeros((len(codes), 1 << n), dtype=complex)
-    out[np.searchsorted(codes, targets), kept.nonzero()[1] * last] = ends[kept]
-    return PureState.from_arrays(cfg, codes * unit, out, state.prune_epsilon)
+    targets = (sites[:, None] + _MOVES)[kept] % cfg.site_count
+    sites = np.unique(targets)
+    out = np.zeros((len(sites), last + 1), dtype=complex)
+    out[np.searchsorted(sites, targets), kept.nonzero()[1] * last] = ends[kept]
+    return PureState.from_arrays(cfg, sites * unit, out, state.prune_epsilon, (sites, constants))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,6 +107,29 @@ def check_phase(phi, name: str = "phase"):
     raise TypeError(f"{name} must be a float or a Fraction of pi")
 
 
+_PHASE_PATTERN = re.compile(r"^(\d+)?pi(?:/(\d+))?$")
+
+
+def parse_phase(text: str) -> Fraction | float:
+    """Read a phase flag.
+
+    Strings shaped like '2pi/3' are kept as exact rational multiples of pi so
+    the resonant cases stay resonant; anything else is read as radians.
+    """
+    cleaned = text.strip().lower().replace(" ", "")
+    match = _PHASE_PATTERN.match(cleaned)
+    if match:
+        numerator = int(match.group(1) or 1)
+        denominator = int(match.group(2) or 1)
+        if denominator == 0:
+            raise ValueError(f"cannot parse phase {text!r}")
+        return Fraction(numerator, denominator)
+    try:
+        return float(cleaned)
+    except ValueError:
+        raise ValueError(f"cannot parse phase {text!r}") from None
+
+
 def phase_radians(phi: float | Fraction) -> float:
     """Numeric value in radians of a phase that may be an exact pi fraction."""
     if isinstance(phi, Fraction):
@@ -182,6 +206,10 @@ class PureState:
 
     `PureState(config, {(positions, coins): amplitude})` builds a state from
     labels; `state.amplitudes` reads it back as a read-only mapping.
+
+    `colocated` is None, or, on a state made by evolution.projected_step,
+    whose rows are all co-located, the site of every row and the step's
+    per-lattice constants, which the next projected step reads.
     """
 
     def __init__(self, config: LatticeConfig, amplitudes=None, prune_epsilon: float = 1e-14):
@@ -189,19 +217,22 @@ class PureState:
         self._set(config, codes, block, prune_epsilon)
 
     @classmethod
-    def from_arrays(cls, config: LatticeConfig, codes, block, prune_epsilon: float = 1e-14) -> "PureState":
+    def from_arrays(
+        cls, config: LatticeConfig, codes, block, prune_epsilon: float = 1e-14, colocated=None
+    ) -> "PureState":
         """State over sorted unique `codes` whose rows of `block` are not all zero."""
         state = cls.__new__(cls)
-        state._set(config, codes, block, prune_epsilon)
+        state._set(config, codes, block, prune_epsilon, colocated)
         return state
 
-    def _set(self, config, codes, block, prune_epsilon) -> None:
+    def _set(self, config, codes, block, prune_epsilon, colocated=None) -> None:
         block.setflags(write=False)
         codes.setflags(write=False)
         self.config = config
         self.codes = codes
         self.block = block
         self.prune_epsilon = prune_epsilon
+        self.colocated = colocated
         self._amplitudes = None
 
     @property
@@ -329,25 +360,78 @@ def inner_product(bra: PureState, ket: PureState) -> complex:
     return complex(np.vdot(bra.block[hit], ket.block[at[hit]]))
 
 
-@dataclass
 class Ensemble:
-    """Weighted mixture of pure states sharing one lattice."""
+    """Diagonal mixture of pure states sharing one lattice.
 
-    members: list[tuple[float, PureState]]
+    `Ensemble([(weight, state), ...])` takes any members.  A member that
+    holds one label of unit modulus, as every member of a removal mixture
+    does, is kept in three arrays in member order: its position code in
+    `codes`, its coin column in `cols` and its weight in `weights`.  Any other
+    member is kept as a (weight, state) pair in `loose`.  `of_labels` builds
+    the arrays directly, and `members` lists every member as (weight, state)
+    pairs in member order, built on demand.
+    """
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, members):
+        members = list(members)
+        if not members:
             raise ValueError("an ensemble needs at least one member")
-        cfg = self.members[0][1].config
-        for weight, state in self.members:
+        cfg = members[0][1].config
+        labels, loose = [], []
+        for weight, state in members:
             if weight <= 0:
                 raise ValueError("ensemble weights must be positive")
             if state.config != cfg:
                 raise ValueError("ensemble members must share one lattice")
+            rows, cols = np.nonzero(state.block)
+            if len(rows) == 1:
+                amp = complex(state.block[rows[0], cols[0]])
+                if abs(amp.real * amp.real + amp.imag * amp.imag - 1.0) <= 1e-9:
+                    labels.append((int(state.codes[rows[0]]), int(cols[0]), weight))
+                    continue
+            loose.append((weight, state))
+        codes, cols, weights = zip(*labels) if labels else ((), (), ())
+        self._set(cfg, np.array(codes, dtype=np.int64), np.array(cols, dtype=np.int64),
+                  np.array(weights, dtype=float), loose)
+        self._members = members
+
+    @classmethod
+    def of_labels(cls, config: LatticeConfig, codes, cols, weights, prune_epsilon: float = 1e-14) -> "Ensemble":
+        """Mixture of the unit states at position code codes[i] and coin column
+        cols[i], weighted by weights[i]; `members` gives them `prune_epsilon`."""
+        codes = np.asarray(codes, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        weights = np.asarray(weights, dtype=float)
+        if not len(weights):
+            raise ValueError("an ensemble needs at least one member")
+        if (weights <= 0).any():
+            raise ValueError("ensemble weights must be positive")
+        ensemble = cls.__new__(cls)
+        ensemble._set(config, codes, cols, weights, [])
+        ensemble._members = None
+        ensemble._prune_epsilon = prune_epsilon
+        return ensemble
+
+    def _set(self, config, codes, cols, weights, loose) -> None:
+        for array in (codes, cols, weights):
+            array.setflags(write=False)
+        self.config = config
+        self.codes = codes
+        self.cols = cols
+        self.weights = weights
+        self.loose = loose
 
     @property
-    def config(self) -> LatticeConfig:
-        return self.members[0][1].config
+    def members(self) -> list[tuple[float, PureState]]:
+        if self._members is None:
+            count = len(self.codes)
+            block = np.zeros((count, 1 << self.config.particle_count), dtype=complex)
+            block[np.arange(count), self.cols] = 1.0
+            self._members = [
+                (weight, PureState.from_arrays(self.config, self.codes[i : i + 1], row, self._prune_epsilon))
+                for i, (weight, row) in enumerate(zip(self.weights.tolist(), block[:, None]))
+            ]
+        return self._members
 
     def total_weight(self) -> float:
         return sum(w for w, _ in self.members)

@@ -24,8 +24,8 @@ from .lattice import (
     Ensemble,
     PureState,
     check_phase,
-    coin_tuples,
-    make_basis_state,
+    code_weights,
+    colocated_unit,
     phase_factor,
     positions,
     turn_table,
@@ -146,26 +146,9 @@ def survival_probability(ensemble: Ensemble, t_max: int, method: str = "direct")
     return SurvivalSeries(cfg.site_count, cfg.particle_count, cfg.interaction_phase, values)
 
 
-def _unit_label(state: PureState):
-    """(positions, coins) of a state holding one label with unit weight; None
-    for any other state.  Read from the arrays directly: survival checks
-    every one of the 2d members of a removal mixture."""
-    if len(state.codes) != 1:
-        return None
-    row = state.block[0].tolist()
-    cols = [col for col, a in enumerate(row) if a]
-    if len(cols) != 1:
-        return None
-    amp = row[cols[0]]
-    if abs(amp.real * amp.real + amp.imag * amp.imag - 1.0) > 1e-9:
-        return None
-    cfg = state.config
-    return tuple(positions(state.codes, cfg)[0].tolist()), coin_tuples(cfg.particle_count)[cols[0]]
-
-
-def _orbit_key(state: PureState):
-    """Canonical (positions, coins) of a single-label unit member's orbit; None
-    when that shape does not apply.
+def _orbit_keys(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical (position code, coin column) of the orbit of every
+    single-label member, in member order.
 
     The projected step commutes with ring translations, so a member is keyed
     by its form shifted to put the first particle at the origin.  For n >= 2
@@ -173,34 +156,49 @@ def _orbit_key(state: PureState):
     coins only rows with every walker on one site, with the contact coin,
     whose entries depend on popcount(a ^ b) alone; the reflection swaps the
     all-right and the all-left move; pruning acts entry by entry.  The key is
-    then the smaller of the shifted form and its mirror.  One walker gets the
-    free coin, which is not reflection-symmetric (Hadamard), so it is keyed
-    by translation alone.
+    then the smaller of the shifted form and its mirror as (positions, coins)
+    tuples: by code, then by coin tuple, which ascends as last ^ column does
+    (a left mover, -1, sorts first).  One walker gets the free coin, which is
+    not reflection-symmetric (Hadamard), so it is keyed by translation alone.
     """
-    label = _unit_label(state)
-    if label is None:
-        return None
-    pos, coins = label
-    d = state.config.site_count
-    key = tuple((x - pos[0]) % d for x in pos), coins
-    if len(pos) == 1:
-        return key
-    return min(key, (tuple((pos[0] - x) % d for x in pos), tuple(-c for c in coins)))
+    cfg = ensemble.config
+    n, d = cfg.particle_count, cfg.site_count
+    places = positions(ensemble.codes, cfg)
+    weights = code_weights(n, d)
+    codes = ((places - places[:, :1]) % d) @ weights
+    cols = ensemble.cols
+    if n == 1:
+        return codes, cols
+    mirror = ((places[:, :1] - places) % d) @ weights
+    flipped = cols ^ ((1 << n) - 1)
+    # the mirror's coin column is `flipped`, so its coin order is `cols`
+    smaller = (mirror < codes) | ((mirror == codes) & (cols < flipped))
+    return np.where(smaller, mirror, codes), np.where(smaller, flipped, cols)
+
+
+def _orbit_representatives(ensemble: Ensemble) -> list[tuple[float, PureState]]:
+    """One unit member per orbit of the single-label members, in ascending key
+    order, weighted by the orbit's total weight summed in member order."""
+    cfg = ensemble.config
+    dim = 1 << cfg.particle_count
+    codes, cols = _orbit_keys(ensemble)
+    # lexsort is stable, so each orbit keeps its members in member order
+    order = np.lexsort((cols ^ (dim - 1), codes))
+    codes, cols, weights = codes[order], cols[order], ensemble.weights[order]
+    # the first member of every orbit
+    starts = np.flatnonzero(np.diff(codes, prepend=-1) | np.diff(cols, prepend=-1))
+    representatives = []
+    for start, stop in zip(starts.tolist(), [*starts[1:].tolist(), len(codes)]):
+        block = np.zeros((1, dim), dtype=complex)
+        block[0, cols[start]] = 1.0
+        state = PureState.from_arrays(cfg, codes[start : start + 1], block)
+        # a running sum, as adding the weights one by one; np.sum pairs them
+        representatives.append((float(np.cumsum(weights[start:stop])[-1]), state))
+    return representatives
 
 
 def _survival_direct(ensemble: Ensemble, t_max: int) -> list[tuple[int, float]]:
-    cfg = ensemble.config
-    grouped: dict = {}
-    loose: list[tuple[float, PureState]] = []
-    for weight, member in ensemble.members:
-        key = _orbit_key(member)
-        if key is None:
-            loose.append((weight, member))
-        else:
-            grouped[key] = grouped.get(key, 0.0) + weight
-    representatives = list(loose)
-    for (pos, coins), weight in sorted(grouped.items()):
-        representatives.append((weight, make_basis_state(cfg, pos, coins)))
+    representatives = ensemble.loose + _orbit_representatives(ensemble)
     totals = [0.0] * (t_max + 1)
     for weight, state in representatives:
         current = state
@@ -212,21 +210,23 @@ def _survival_direct(ensemble: Ensemble, t_max: int) -> list[tuple[int, float]]:
 
 
 def _require_uniform_aligned_mixture(ensemble: Ensemble) -> None:
+    """Refuse a mixture other than one unit member of weight 1/(2d) per site
+    and direction, co-located and aligned; the first faulty member names the
+    fault."""
     cfg = ensemble.config
-    d = cfg.site_count
-    expected_weight = 1.0 / (2 * d)
-    seen = set()
-    for weight, member in ensemble.members:
-        label = _unit_label(member)
-        if label is None:
-            raise ValueError("momentum method expects single-label unit members")
-        pos, coins = label
-        if len(set(pos)) != 1 or len(set(coins)) != 1:
+    n, d = cfg.particle_count, cfg.site_count
+    if ensemble.loose:
+        raise ValueError("momentum method expects single-label unit members")
+    sites, offsets = np.divmod(ensemble.codes, colocated_unit(n, d))
+    cols = ensemble.cols
+    misplaced = (offsets != 0) | ((cols != 0) & (cols != (1 << n) - 1))
+    faulty = misplaced | (np.abs(ensemble.weights - 1.0 / (2 * d)) > 1e-9)
+    if faulty.any():
+        if misplaced[faulty.argmax()]:
             raise ValueError("momentum method expects co-located aligned members")
-        if abs(weight - expected_weight) > 1e-9:
-            raise ValueError("momentum method expects uniform weights 1/(2d)")
-        seen.add((pos[0], coins[0]))
-    if len(seen) != 2 * d or len(ensemble.members) != 2 * d:
+        raise ValueError("momentum method expects uniform weights 1/(2d)")
+    # 2d members on 2d (site, direction) slots: one each when no slot is empty
+    if len(cols) != 2 * d or not np.bincount(2 * sites + (cols != 0), minlength=2 * d).all():
         raise ValueError("momentum method expects one member per site and direction")
 
 

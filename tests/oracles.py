@@ -9,6 +9,7 @@ tests pick small rings accordingly.
 from __future__ import annotations
 
 import cmath
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import pi
@@ -16,7 +17,7 @@ from math import pi
 import numpy as np
 
 from borrowalk.evolution import step
-from borrowalk.lattice import LatticeConfig, PureState, colocated_unit
+from borrowalk.lattice import LatticeConfig, PureState, colocated_unit, coin_tuples, positions
 
 
 def phi_to_radians(phi) -> float:
@@ -214,3 +215,50 @@ def survival_by_members(ensemble, t_max: int) -> list[tuple[int, float]]:
             if t < t_max:
                 current = projected_step_reference(current)
     return list(enumerate(totals))
+
+
+def remove_particle_reference(state: PureState) -> list[tuple[float, PureState]]:
+    """Members of the removal mixture, built one by one in label order: a unit
+    state per stored label of the collectively bound parent, weighted by the
+    label's squared modulus, with the last particle dropped."""
+    cfg = state.config
+    n, d = cfg.particle_count, cfg.site_count
+    reduced_cfg = replace(cfg, particle_count=n - 1)
+    dim = state.block.shape[1]
+    rows, cols = state.entries()
+    sites, offsets = np.divmod(state.codes[rows], colocated_unit(n, d))
+    assert not offsets.any() and ((cols == 0) | (cols == dim - 1)).all()
+    members = []
+    for site, col, amp in zip(sites.tolist(), cols.tolist(), state.block[rows, cols].tolist()):
+        weight = amp.real * amp.real + amp.imag * amp.imag
+        if weight == 0.0:
+            continue
+        block = np.zeros((1, dim >> 1), dtype=complex)
+        block[0, col >> 1] = 1.0
+        codes = np.array([site * colocated_unit(n - 1, d)], dtype=np.int64)
+        members.append((weight, PureState.from_arrays(reduced_cfg, codes, block, state.prune_epsilon)))
+    return members
+
+
+def orbit_key_reference(state: PureState):
+    """Canonical (positions, coins) of a single-label unit member's orbit under
+    ring translations and, for two or more walkers, the reflection x -> -x
+    that flips every coin: the smaller of the form shifted to put the first
+    particle at the origin and its mirror.  None for any other member."""
+    if len(state.codes) != 1:
+        return None
+    row = state.block[0].tolist()
+    cols = [col for col, a in enumerate(row) if a]
+    if len(cols) != 1:
+        return None
+    amp = row[cols[0]]
+    if abs(amp.real * amp.real + amp.imag * amp.imag - 1.0) > 1e-9:
+        return None
+    cfg = state.config
+    pos = tuple(positions(state.codes, cfg)[0].tolist())
+    coins = coin_tuples(cfg.particle_count)[cols[0]]
+    d = cfg.site_count
+    key = tuple((x - pos[0]) % d for x in pos), coins
+    if len(pos) == 1:
+        return key
+    return min(key, (tuple((pos[0] - x) % d for x in pos), tuple(-c for c in coins)))

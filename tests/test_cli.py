@@ -1,12 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import borrowalk
 import borrowalk.cli as cli
-from borrowalk import evolution
+from borrowalk import evolution, lattice
 from borrowalk.cli import parse_phase, run
 from borrowalk.spectral import momentum_bytes
 
@@ -28,6 +32,24 @@ def test_parse_phase_decimal_and_junk():
         parse_phase("about pi")
     with pytest.raises(ValueError):
         parse_phase("pi/0")
+
+
+def test_parse_phase_lives_in_lattice():
+    assert parse_phase is lattice.parse_phase is borrowalk.parse_phase
+
+
+def test_module_run_prints_no_runtime_warning():
+    # importing the package must not import borrowalk.cli, or `python -m`
+    # warns that the module is already in sys.modules
+    src = str(Path(borrowalk.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "borrowalk.cli", "spectrum", "--d", "4"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout.startswith("k_over_d,")
 
 
 def test_unknown_flag_exits_2(capsys):

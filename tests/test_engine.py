@@ -27,6 +27,7 @@ from borrowalk.evolution import (
     walk_bytes,
     walk_rows,
 )
+from borrowalk.fidelity import persistence_trajectory
 from borrowalk.lattice import LatticeConfig, PureState, inner_product, make_basis_state
 
 from oracles import (
@@ -187,6 +188,67 @@ def test_projected_step_of_the_empty_and_the_scattered_state(n):
         # no walker shares a site, so nothing stays co-located and aligned
         scattered = make_basis_state(cfg, range(n), "R" * n)
         assert not len(projected_step(scattered).codes)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_the_empty_state_is_a_fixed_point_of_the_projected_step(n):
+    cfg = LatticeConfig(n, 5, 1.3, free_coin="hadamard")
+    empties = [PureState(cfg, {})]
+    if n > 1:
+        # scattered walkers: the walk dies in one step
+        empties.append(projected_step(make_basis_state(cfg, range(n), "R" * n)))
+    for empty in empties:
+        assert projected_step(empty) is empty
+        _assert_same_bits(projected_step(empty), projected_step_reference(empty))
+
+
+class _CountingCoin:
+    """A coin matrix that counts the blocks multiplied by it; numpy defers
+    `block @ coin` to __rmatmul__ because __array_ufunc__ is None."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.products = 0
+
+    def __rmatmul__(self, block):
+        self.products += 1
+        return block @ self.matrix
+
+
+def test_a_dead_walk_does_no_coin_work(monkeypatch):
+    # at phi = 1.3 pruning zeroes the trimer after 60 steps
+    coins = []
+    projection = evolution._projection
+
+    def counted(config):
+        unit, coin, last = projection(config)
+        coins.append(_CountingCoin(coin))
+        return unit, coins[-1], last
+
+    monkeypatch.setattr(evolution, "_projection", counted)
+    state = bound_state(LatticeConfig(3, 8, 1.3), 3)
+    live = 0
+    for _ in range(200):
+        live += bool(len(state.codes))
+        state = projected_step(state)
+    assert 0 < live < 200 and not len(state.codes)
+    assert len(coins) == 1 and coins[0].products == live
+
+
+@pytest.mark.parametrize("phi", (1.3, Fraction(2, 3)), ids=("dies", "persists"))
+def test_trajectory_is_the_reference_walk_bit_for_bit(phi):
+    t_max = 200
+    initial = bound_state(LatticeConfig(3, 8, phi), 3)
+    current = initial
+    want = [abs(inner_product(initial, current)) ** 2]
+    for _ in range(t_max):
+        current = projected_step_reference(current)
+        want.append(abs(inner_product(initial, current)) ** 2)
+    got = persistence_trajectory(phi, t_max)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert (want[-1] == 0.0) == (phi == 1.3)
 
 
 @engine

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borrowalk import spectral
 from borrowalk.bound_states import bound_state, remove_particle
 from borrowalk.evolution import MAX_POWER_ENTRIES, projected_step
-from borrowalk.lattice import Ensemble, LatticeConfig, PureState, make_basis_state
+from borrowalk.lattice import Ensemble, LatticeConfig, PureState, coin_tuples, make_basis_state, positions
 from borrowalk.spectral import (
     aligned_pair_amplitudes,
     block_eigenvalues,
@@ -18,7 +20,7 @@ from borrowalk.spectral import (
     survival_probability,
 )
 
-from oracles import survival_by_members
+from oracles import orbit_key_reference, remove_particle_reference, survival_by_members
 
 RESONANT = Fraction(2, 3)
 
@@ -258,6 +260,68 @@ def test_grouped_direct_survival_matches_every_member_evolved(ensemble):
     assert max(abs(p - q) for (_, p), (_, q) in zip(grouped, every)) <= 1e-13
 
 
+def _aligned_state(cfg: LatticeConfig, seed: int) -> PureState:
+    """Random amplitudes on every co-located aligned label, one of them so
+    small that its squared modulus underflows to zero."""
+    n, d = cfg.particle_count, cfg.site_count
+    rng = np.random.default_rng(seed)
+    labels = {}
+    for x in range(d):
+        for coin in (1, -1):
+            labels[((x,) * n, (coin,) * n)] = complex(rng.normal(), rng.normal())
+    labels[((1,) * n, (-1,) * n)] = 1e-170j
+    return PureState(cfg, labels, prune_epsilon=1e-300)
+
+
+@pytest.mark.parametrize(
+    "parent",
+    [
+        bound_state(LatticeConfig(3, 7, RESONANT), 3),
+        bound_state(LatticeConfig(4, 6, 1.3, free_coin="hadamard"), 4, r=1),
+        bound_state(LatticeConfig(2, 5, 0.4), 2),
+        _aligned_state(LatticeConfig(3, 6, 2.0), 1),
+        _aligned_state(LatticeConfig(5, 4, Fraction(1, 3)), 2),
+    ],
+    ids=("pair", "triple", "single", "random-pair", "random-quadruple"),
+)
+def test_removal_members_match_the_member_by_member_reference(parent):
+    got = remove_particle(parent).members
+    want = remove_particle_reference(parent)
+    assert len(got) == len(want)
+    for (weight, member), (ref_weight, ref_member) in zip(got, want):
+        assert weight.hex() == ref_weight.hex()
+        assert member.config == ref_member.config
+        assert np.array_equal(member.codes, ref_member.codes)
+        assert np.array_equal(member.block.view(np.uint64), ref_member.block.view(np.uint64))
+        assert member.prune_epsilon == ref_member.prune_epsilon
+
+
+@st.composite
+def _single_label_ensembles(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(2, 7))
+    cfg = LatticeConfig(n, d, RESONANT)
+    members = []
+    for _ in range(draw(st.integers(1, 12))):
+        place = draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            place = [place[0]] * n
+        coins = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        # a unit amplitude of any phase keys like amplitude 1
+        amp = cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+        members.append((draw(st.floats(0.01, 1.0)), PureState(cfg, {(tuple(place), tuple(coins)): amp})))
+    return Ensemble(members)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_single_label_ensembles())
+def test_array_orbit_keys_match_the_reference_keys(ensemble):
+    cfg = ensemble.config
+    codes, cols = spectral._orbit_keys(ensemble)
+    got = list(zip(map(tuple, positions(codes, cfg).tolist()), (coin_tuples(cfg.particle_count)[c] for c in cols)))
+    assert got == [orbit_key_reference(member) for _, member in ensemble.members]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_removal_mixture_takes_one_walk(monkeypatch, n):
     # the all-right and all-left remainders are mirror images of each other
@@ -339,3 +403,50 @@ def test_survival_rejects_bad_requests():
     )
     with pytest.raises(ValueError):
         survival_probability(lopsided, 5, method="momentum")
+
+
+# the uniform removal mixture of the pair on four sites, built member by member
+_CFG = LatticeConfig(2, 4, RESONANT)
+_UNIFORM = [(1 / 8, make_basis_state(_CFG, (x, x), c * 2)) for x in range(4) for c in "LR"]
+
+
+def _replaced(changes: dict) -> list:
+    return [changes.get(i, member) for i, member in enumerate(_UNIFORM)]
+
+
+MALFORMED = {
+    "two labels": (
+        _replaced({2: (1 / 8, PureState(_CFG, {((1, 1), (1, 1)): 0.6, ((2, 2), (1, 1)): 0.8}))}),
+        "single-label unit",
+    ),
+    "short norm": (_replaced({0: (1 / 8, PureState(_CFG, {((0, 0), (1, 1)): 0.5}))}), "single-label unit"),
+    "scattered": (_replaced({3: (1 / 8, make_basis_state(_CFG, (1, 2), "RR"))}), "co-located aligned"),
+    "unaligned": (_replaced({3: (1 / 8, make_basis_state(_CFG, (1, 1), "RL"))}), "co-located aligned"),
+    "weight": (_replaced({5: (0.2, _UNIFORM[5][1])}), "uniform weights"),
+    # the first faulty member names the fault
+    "weight first": (
+        _replaced({1: (0.2, _UNIFORM[1][1]), 4: (1 / 8, make_basis_state(_CFG, (0, 1), "LL"))}),
+        "uniform weights",
+    ),
+    "missing": (_UNIFORM[:-1], "one member per site"),
+    "duplicate": (_replaced({7: _UNIFORM[6]}), "one member per site"),
+    "extra": (_UNIFORM + _UNIFORM[:1], "one member per site"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_momentum_survival_refuses_malformed_mixtures(case):
+    members, message = MALFORMED[case]
+    ensemble = Ensemble(members)
+    with pytest.raises(ValueError, match=message):
+        survival_probability(ensemble, 5, method="momentum")
+    # the direct route takes any mixture
+    assert survival_probability(ensemble, 5).values[0][0] == 0
+
+
+def test_the_uniform_mixture_built_member_by_member_passes():
+    members = Ensemble(_UNIFORM)
+    arrays = remove_particle(bound_state(LatticeConfig(3, 4, RESONANT), 3))
+    assert survival_probability(members, 9, method="momentum").values == survival_probability(
+        arrays, 9, method="momentum"
+    ).values
