@@ -34,13 +34,13 @@ from .cobosons import (
 from .evolution import (
     apply_interaction,
     apply_shift,
+    contact_weights,
     free_coin_matrix,
     interaction_group_matrix,
     projected_step,
     step,
 )
 from .fidelity import (
-    TripleSectorCoefficients,
     fidelity_sweep,
     persistence_closed,
     persistence_numeric,
@@ -68,7 +68,6 @@ from .lattice import (
 from .spectral import (
     MomentumBlock,
     SurvivalSeries,
-    aligned_pair_amplitudes,
     block_eigenvalues,
     momentum_block,
     spectrum_norms,
@@ -89,8 +88,6 @@ __all__ = [
     "PureState",
     "RIGHT",
     "SurvivalSeries",
-    "TripleSectorCoefficients",
-    "aligned_pair_amplitudes",
     "apply_interaction",
     "apply_shift",
     "as_coin",
@@ -101,6 +98,7 @@ __all__ = [
     "coboson_norm",
     "coboson_report",
     "coin_char",
+    "contact_weights",
     "depleted_norm",
     "ensemble_overlap",
     "fidelity_sweep",

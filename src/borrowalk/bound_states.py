@@ -18,12 +18,15 @@ from math import comb
 
 import numpy as np
 
-from .evolution import interaction_group_matrix, step
+from .evolution import contact_parts, interaction_group_matrix, require_scan_fits, step
 from .lattice import (
     Ensemble,
     LatticeConfig,
     PureState,
     colocated_unit,
+    complex_add,
+    complex_mul,
+    complex_parts,
     inner_product,
     phase_factor,
 )
@@ -191,24 +194,38 @@ def scan_conditions(
     """Grid search for parameter points where the alignment condition reaches one.
 
     Returns every grid point whose dense condition value meets the threshold,
-    together with the closed-form value at the same point.  The values are
-    ghz_condition's to the bit; the contact-coin image is formed once per
-    (arity, sign, phase) and shared by the momentum sectors.
+    together with the closed-form value at the same point.  No contact-coin
+    matrix is formed: the coin maps beta|R..R> + gamma|L..L> to
+    (c_0 beta + c_m gamma)|R..R> + (c_m beta + c_0 gamma)|L..L>, and (c_0, c_m)
+    come from one contact_parts pass over the whole grid per arity.  Every
+    complex product is spelled out as CPython computes it, so the values are
+    ghz_condition's to the bit.
     """
+    arities = list(arities)
+    require_scan_fits(len(phases), arities)
     spec_of = {"symmetric": GhzSpec.symmetric, "antisymmetric": GhzSpec.antisymmetric}
-    momenta = [(k, _momentum_phases(k, d)) for k in k_values]
+    momenta = [_momentum_phases(k, d) for k in k_values]
     points = []
     for arity in arities:
+        re, im = contact_parts(arity, phases, (0, arity))
+        stay, flip = (re[:, 0], im[:, 0]), (re[:, 1], im[:, 1])
         for name in signs:
             ghz = spec_of[name](arity)
-            coin = ghz_coin(ghz)
-            for phi in phases:
-                image = interaction_group_matrix(arity, phi) @ coin
-                for k, hops in momenta:
-                    value = _phased_overlap(ghz, image, *hops)
-                    if value >= threshold:
-                        closed = ghz_condition_closed(arity, phi, ghz, k, d)
-                        points.append(ConditionPoint(arity, phi, k, ghz, value, closed))
+            beta, gamma = complex_parts(ghz.beta), complex_parts(ghz.gamma)
+            top = complex_add(complex_mul(stay, beta), complex_mul(flip, gamma))
+            bottom = complex_add(complex_mul(flip, beta), complex_mul(stay, gamma))
+            values = np.empty((len(phases), len(momenta)))
+            for column, (forward, backward) in enumerate(momenta):
+                # as _phased_overlap: conj(beta) * forward * top + conj(gamma) * backward * bottom
+                bra_top = complex_parts(ghz.beta.conjugate() * forward)
+                bra_bottom = complex_parts(ghz.gamma.conjugate() * backward)
+                overlap = complex_add(complex_mul(bra_top, top), complex_mul(bra_bottom, bottom))
+                # np.hypot, not np.abs, is what abs() of a Python complex computes
+                values[:, column] = np.hypot(*overlap)
+            for row, column in zip(*np.nonzero(values >= threshold)):
+                phi, k = phases[row], k_values[column]
+                closed = ghz_condition_closed(arity, phi, ghz, k, d)
+                points.append(ConditionPoint(arity, phi, k, ghz, float(values[row, column]), closed))
     return points
 
 

@@ -9,12 +9,13 @@ digits, LF line endings.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from itertools import chain
 
 from .bound_states import bound_state, remove_particle, scan_conditions, verify_eigenstate
 from .cobosons import coboson_report, depleted_norm
-from .evolution import projected_step, require_walk_fits, step, walk_rows
+from .evolution import projected_step, require_scan_fits, require_walk_fits, step, walk_rows
 from .fidelity import fidelity_sweep
 from .jsonout import dumps, records, walk_snapshots
 from .lattice import LatticeConfig, as_coin, make_basis_state, parse_phase, phase_grid, phase_radians
@@ -107,6 +108,8 @@ def _eigen_entry(config: LatticeConfig, arity: int, r: int, tol: float) -> tuple
 
 def _cmd_check_eigen(args) -> None:
     _require_json(args)
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError("--tol must be a finite non-negative number")
     if args.all:
         entries = []
         r_values = (0, 1) if args.d % 2 == 0 else (0,)
@@ -122,7 +125,11 @@ def _cmd_check_eigen(args) -> None:
 
 
 def _cmd_ghz_scan(args) -> None:
+    if not math.isfinite(args.threshold):
+        raise ValueError("--threshold must be a finite number")
     arities = _parse_int_list(args.n_values)
+    # bounded before the phase grid is built
+    require_scan_fits(args.phi_grid, arities)
     phases = phase_grid(args.phi_grid)
     k_values = (0, args.d // 2) if args.d % 2 == 0 else (0,)
     points = scan_conditions(arities, phases, k_values=k_values, d=args.d, threshold=args.threshold)

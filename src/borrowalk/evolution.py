@@ -4,7 +4,10 @@ The contact operator on a group of m co-located particles is the product of
 the phased pair projector over all m(m-1)/2 pairs.  In the rotated coin basis
 built from (|R>+|L>)/sqrt(2) and (|R>-|L>)/sqrt(2) that product is diagonal:
 a basis string whose symmetric factors number p picks up exp(i*phi*p(p-1)/2).
-The dense group matrix is assembled once per (m, phi) from this diagonal.
+Back in the (R, L) basis its entry (a, b) depends only on the Hamming
+distance w of the coin strings a and b, so m + 1 numbers fix it:
+c_w = 2**-m sum_p K_{m-p}(w) exp(i*phi*C(p, 2)), with K the Krawtchouk
+polynomials.  Everything that needs the contact coin reads these numbers.
 
 States are arrays (see lattice.PureState).  The coin stage groups the rows by
 co-location pattern, of which n walkers have at most Bell(n), and applies one
@@ -27,16 +30,11 @@ from .lattice import (
     PureState,
     code_weights,
     colocated_unit,
-    phase_factor,
+    phase_table,
     positions,
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-# single-coin change of basis, scaled by sqrt(2) so every entry is +-1;
-# row 0 is the antisymmetric combination, row 1 the symmetric one,
-# columns ordered (R, L)
-_SIGN_BASIS = np.array([[1.0, -1.0], [1.0, 1.0]])
 
 # site offsets of the all-right and the all-left coin column in one step
 _MOVES = np.array([1, -1])
@@ -48,40 +46,91 @@ _PATTERN_CACHE = 32
 # before any work starts.
 MAX_WALK_BYTES = 1 << 30
 
+# Largest co-located group the contact kernel serves: up to here every
+# Krawtchouk weight and every partial sum of integer weights, at most 2**m,
+# is an exact float64.
+MAX_CONTACT_ARITY = 53
+
+# scan_bytes per phase, per phase and contact term, and per hit, rounded up
+# from traced peaks of ghz-scan requests (see scan_bytes)
+_SCAN_PHASE_BYTES = 256
+_SCAN_TERM_BYTES = 128
+_SCAN_HIT_BYTES = 1024
+
 # Entries (span x d) of each stacked array of momentum-block powers in the
 # momentum survival route; keeps its working set small whatever t_max is.
 MAX_POWER_ENTRIES = 1 << 15
 
 
 @lru_cache(maxsize=None)
-def _sector_weights(m: int) -> np.ndarray:
-    """Integer weight matrix per symmetric-factor count p, built from the
-    unnormalised change of basis.  The group operator is the contraction
-    sum_p exp(i*phi*p(p-1)/2) * weights[p] / 2**m."""
-    dim = 1 << m
-    transform = reduce(np.kron, [_SIGN_BASIS] * m)
-    counts = np.array([bin(row).count("1") for row in range(dim)])
-    weights = np.zeros((m + 1, dim, dim))
-    for p in range(m + 1):
-        rows = transform[counts == p]
-        weights[p] = rows.T @ rows
+def _krawtchouk(m: int) -> np.ndarray:
+    """Integer weights K[w, p] = K_{m-p}(w), the coefficient of x**(m-p) in
+    (1 - x)**w (1 + x)**(m-w), as floats.  Every weight is at most C(m, m/2)
+    and every row sums at most 2**m in modulus, so all are exact."""
+    rows = [
+        np.convolve([(-1) ** j * comb(w, j) for j in range(w + 1)], [comb(m - w, j) for j in range(m - w + 1)])
+        for w in range(m + 1)
+    ]
+    weights = np.array(rows, dtype=float)[:, ::-1].copy()
     weights.setflags(write=False)
     return weights
 
 
+def contact_parts(m: int, phases, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the contact weights c_w, w in `rows`, of m
+    co-located walkers at every phase, shape (len(phases), len(rows)).
+
+    c_w = 2**-m sum_p K_{m-p}(w) exp(i*phi*C(p, 2)) is a running sum over p
+    in ascending order, term by term as np.add.accumulate adds (np.sum would
+    pair the terms), so the weights of one phase do not depend on the other
+    phases they are computed with.
+    """
+    if not 1 <= m <= MAX_CONTACT_ARITY:
+        raise ValueError(f"the contact coin is computed for 1 to {MAX_CONTACT_ARITY} co-located walkers")
+    weights = _krawtchouk(m)[list(rows)]
+    scale = 0.5**m
+    re, im = phase_table(phases, [comb(p, 2) for p in range(m + 1)])
+    return tuple(np.add.accumulate(part[:, None, :] * weights, axis=2)[:, :, -1] * scale for part in (re, im))
+
+
+# a few entries serve repeated lookups of one phase, as a loop over momentum
+# sectors makes; the matrices built from them have their own cache
+@lru_cache(maxsize=32)
+def contact_weights(m: int, phi) -> np.ndarray:
+    """The m + 1 numbers that fix the contact coin of m co-located walkers:
+    entry (a, b) of the coin is c_w, w = popcount(a ^ b).
+
+    c_0 is the amplitude for an aligned group to keep its joint direction
+    and c_m the amplitude to reverse it, the (stay, flip) pair of the
+    aligned sector.  Each term is an exact integer weight times a phase
+    factor, so sums that cancel algebraically cancel exactly at right-angle
+    phases too, and long products of the coin do not drift there.
+    """
+    re, im = contact_parts(m, [phi], range(m + 1))
+    weights = np.empty(m + 1, dtype=complex)
+    weights.real, weights.imag = re[0], im[0]
+    weights.setflags(write=False)
+    return weights
+
+
+@lru_cache(maxsize=None)
+def _popcounts(m: int) -> np.ndarray:
+    """popcount(a) for every m-bit a, as uint8."""
+    counts = np.zeros(1, dtype=np.uint8)
+    for _ in range(m):
+        counts = np.concatenate([counts, counts + 1])
+    counts.setflags(write=False)
+    return counts
+
+
 @lru_cache(maxsize=1024)
 def interaction_group_matrix(m: int, phi) -> np.ndarray:
-    """Coin operator for m co-located particles, i.e. the full pair product.
-
-    Entries are assembled sector by sector so each phase value multiplies an
-    exact integer weight; sums that cancel algebraically then cancel exactly
-    in floating point as well, which keeps long products of this matrix from
-    drifting at right-angle phases."""
-    if m < 1:
-        raise ValueError("group size must be at least 1")
-    weights = _sector_weights(m)
-    phases = np.array([phase_factor(phi, comb(p, 2)) for p in range(m + 1)])
-    matrix = np.tensordot(phases, weights, axes=1) / (1 << m)
+    """Coin operator for m co-located particles, i.e. the full pair product,
+    gathered from contact_weights(m, phi) by the Hamming distance of row
+    and column."""
+    weights = contact_weights(m, phi)
+    coins = np.arange(1 << m, dtype=np.min_scalar_type((1 << m) - 1))
+    matrix = weights[_popcounts(m)[coins[:, None] ^ coins]]
     matrix.setflags(write=False)
     return matrix
 
@@ -109,12 +158,35 @@ def walk_bytes(n: int, rows: int) -> int:
     Per coin-block entry a step holds the block before and after the coin
     stage and after the shift (complex, 16 bytes each) and a shifted code
     (int64).  Per walker count, the contact coin of n co-located walkers is
-    contracted from (n+1) float 4**n sector weights into a complex 4**n
-    matrix, and the coin stage caches up to _PATTERN_CACHE complex 4**n
-    pattern matrices.
+    gathered into a complex 4**n matrix through a table of coin XORs and
+    one of their popcounts (at most 2 and 1 bytes an entry for n <= 16), and
+    the coin stage caches up to _PATTERN_CACHE complex 4**n pattern matrices.
     """
     dim = 1 << n
-    return rows * dim * (3 * 16 + 8) + dim * dim * ((n + 1) * 8 + (1 + _PATTERN_CACHE) * 16)
+    return rows * dim * (3 * 16 + 8) + dim * dim * (3 + (1 + _PATTERN_CACHE) * 16)
+
+
+def scan_bytes(grid: int, arities) -> int:
+    """Bytes an alignment scan over a grid of `grid` phases holds at most.
+
+    Per phase: its Fraction.  Per phase and contact term (m + 1 of them for
+    arity m): the turn and angle tables of contact_parts.  Per phase and
+    arity: up to four hits (two branch signs, two momenta), each a
+    ConditionPoint with its output row and printed text.
+    """
+    arities = list(arities)
+    return grid * (_SCAN_PHASE_BYTES + sum(m + 1 for m in arities) * _SCAN_TERM_BYTES
+                   + len(arities) * 4 * _SCAN_HIT_BYTES)
+
+
+def require_scan_fits(grid: int, arities) -> None:
+    """Refuse a scan with an arity the contact kernel does not serve, or whose
+    scan_bytes exceed MAX_WALK_BYTES."""
+    arities = list(arities)
+    for m in arities:
+        if not 2 <= m <= MAX_CONTACT_ARITY:
+            raise ValueError(f"the alignment scan takes 2 to {MAX_CONTACT_ARITY} walkers, not {m}")
+    require_bytes_fit(scan_bytes(grid, arities), f"an alignment scan of {grid} phases")
 
 
 def walk_rows(n: int, d: int, steps: int, projected: bool = False) -> int:
@@ -273,7 +345,12 @@ def projected_step(state: PureState) -> PureState:
     # zeros are not moved, so no -0.0 is stored
     kept = ends != 0
     targets = (sites[:, None] + _MOVES)[kept] % cfg.site_count
-    sites = np.unique(targets)
+    # the distinct targets in order: a sort and a neighbour compare
+    ranked = np.sort(targets)
+    first = np.empty(len(ranked), dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    sites = ranked[first]
     out = np.zeros((len(sites), last + 1), dtype=complex)
     out[np.searchsorted(sites, targets), kept.nonzero()[1] * last] = ends[kept]
     return PureState.from_arrays(cfg, sites * unit, out, state.prune_epsilon, (sites, constants))

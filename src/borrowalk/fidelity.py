@@ -8,35 +8,9 @@ the sparse projected step is kept as an independent route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .bound_states import bound_state
 from .evolution import projected_step
 from .lattice import LatticeConfig, check_phase, inner_product, phase_factor, phase_radians
-
-
-@dataclass(frozen=True)
-class TripleSectorCoefficients:
-    """Amplitudes for an aligned triple to keep or reverse its joint direction
-    under one application of the contact coin."""
-
-    stay: complex
-    flip: complex
-
-    @classmethod
-    def from_phase(cls, phi) -> "TripleSectorCoefficients":
-        e1 = phase_factor(phi)
-        e3 = phase_factor(phi, 3)
-        stay = (4.0 + 3.0 * e1 + e3) / 8.0
-        flip = ((e1 - 1.0) ** 2 * (2.0 + e1)) / 8.0
-        return cls(stay, flip)
-
-    def matrix(self) -> np.ndarray:
-        out = np.array([[self.stay, self.flip], [self.flip, self.stay]])
-        out.setflags(write=False)
-        return out
 
 
 def _persistence_rate(phi) -> float:

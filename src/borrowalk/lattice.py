@@ -90,6 +90,52 @@ def turn_table(numerators, denominator: int) -> tuple[np.ndarray, np.ndarray]:
     return re, im
 
 
+def phase_table(phases, multiples) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of phase_factor(phi, m), shape (len(phases),
+    len(multiples)), for every phase phi and integer multiple m, to the bit.
+
+    Fraction phases share one turn_table over their common denominator while
+    it stays below 2**30, so every turn count fits an int64; float phases
+    take math.cos and math.sin of m * phi, as cmath.exp does.
+    """
+    multiples = [int(m) for m in multiples]
+    re = np.empty((len(phases), len(multiples)))
+    im = np.empty_like(re)
+    exact = [i for i, phi in enumerate(phases) if isinstance(phi, Fraction)]
+    denominator = math.lcm(*(phases[i].denominator for i in exact))
+    if exact and denominator < 1 << 30:
+        period = 2 * denominator
+        steps = [phases[i].numerator * (denominator // phases[i].denominator) % period for i in exact]
+        turns = np.array(steps, dtype=np.int64)[:, None] * (np.array(multiples, dtype=np.int64) % period)
+        re[exact], im[exact] = (part.reshape(turns.shape) for part in turn_table(turns.ravel(), denominator))
+    elif exact:
+        values = np.array([[phase_factor(phases[i], m) for m in multiples] for i in exact], dtype=complex)
+        re[exact], im[exact] = values.real, values.imag
+    floats = [i for i, phi in enumerate(phases) if not isinstance(phi, Fraction)]
+    if floats:
+        angles = np.array([float(phases[i]) for i in floats])[:, None] * np.array(multiples, dtype=float)
+        flat = angles.ravel().tolist()
+        re[floats] = np.fromiter(map(math.cos, flat), float, len(flat)).reshape(angles.shape)
+        im[floats] = np.fromiter(map(math.sin, flat), float, len(flat)).reshape(angles.shape)
+    return re, im
+
+
+def complex_parts(z: complex) -> tuple[float, float]:
+    return z.real, z.imag
+
+
+def complex_mul(a, b):
+    """CPython's complex product on (real, imag) pairs of floats or arrays;
+    a float operand x enters as (x, 0.0), as CPython promotes it."""
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def complex_add(a, b):
+    (ar, ai), (br, bi) = a, b
+    return ar + br, ai + bi
+
+
 def check_phase(phi, name: str = "phase"):
     """Return phi if it lies strictly inside (0, 2*pi), ints read as floats.
 

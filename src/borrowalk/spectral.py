@@ -19,13 +19,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .evolution import MAX_POWER_ENTRIES, interaction_group_matrix, projected_step, require_bytes_fit
+from .evolution import MAX_POWER_ENTRIES, contact_weights, projected_step, require_bytes_fit
 from .lattice import (
     Ensemble,
     PureState,
     check_phase,
     code_weights,
     colocated_unit,
+    complex_mul,
+    complex_parts,
     phase_factor,
     positions,
     turn_table,
@@ -39,11 +41,11 @@ _SITE_BYTES = 2048
 _ROW_BYTES = 512
 
 
-def aligned_pair_amplitudes(phi) -> tuple[complex, complex]:
-    """(stay, flip) for an aligned co-located pair under the contact coin:
-    the amplitude to keep the joint direction and the amplitude to reverse it."""
-    flip = (phase_factor(phi) - 1.0) / 4.0
-    return 1.0 + flip, flip
+def _stay_flip(m: int, phi) -> tuple[complex, complex]:
+    """(c_0, c_m) of the contact coin: the amplitudes for an aligned group of
+    m to keep its joint direction and to reverse it."""
+    weights = contact_weights(m, phi)
+    return complex(weights[0]), complex(weights[-1])
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ def momentum_block(k: int, d: int, phi) -> MomentumBlock:
     if not 0 <= k < d:
         raise ValueError("momentum index must lie in [0, d)")
     check_phase(phi)
-    stay, flip = aligned_pair_amplitudes(phi)
+    stay, flip = _stay_flip(2, phi)
     forward = phase_factor(Fraction(2 * k, d), -1)
     backward = phase_factor(Fraction(2 * k, d))
     matrix = np.array(
@@ -101,7 +103,7 @@ def _block_roots(k: np.ndarray, d: int, phi) -> tuple[np.ndarray, np.ndarray]:
     rounds to zero at phases near 0 needs no special case.
     """
     check_phase(phi)
-    stay, flip = aligned_pair_amplitudes(phi)
+    stay, flip = _stay_flip(2, phi)
     cos_t, sin_t = turn_table(2 * k, d)
     root = np.sqrt(flip * flip - (stay * sin_t) ** 2)
     root[(root * flip.conjugate()).real < 0] *= -1
@@ -110,17 +112,6 @@ def _block_roots(k: np.ndarray, d: int, phi) -> tuple[np.ndarray, np.ndarray]:
     root[sin_t == 0] = flip
     base = stay * cos_t
     return base + root, base - root
-
-
-def _parts(z: complex) -> tuple[float, float]:
-    return z.real, z.imag
-
-
-def _mul(a, b):
-    """CPython's complex product on (real, imag) pairs of floats or arrays;
-    a float operand x enters as (x, 0.0), as CPython promotes it."""
-    (ar, ai), (br, bi) = a, b
-    return ar * br - ai * bi, ar * bi + ai * br
 
 
 @dataclass(frozen=True)
@@ -256,14 +247,13 @@ def require_momentum_fits(d: int, t_max: int) -> None:
 
 def _survival_momentum(ensemble: Ensemble, t_max: int) -> list[tuple[int, float]]:
     """p(t) = sum_k ||B_k^t||_F^2 / (2d) over the momentum blocks B_k of the
-    remainder's contact coin, whose corner entries give (stay, flip)."""
+    remainder's contact coin, built from its (stay, flip) = (c_0, c_n)."""
     cfg = ensemble.config
     if cfg.free_coin != "identity":
         raise ValueError("momentum method requires the identity free coin")
     _require_uniform_aligned_mixture(ensemble)
     n, d = cfg.particle_count, cfg.site_count
-    contact = interaction_group_matrix(n, cfg.interaction_phase)
-    blocks = _pair_blocks(d, complex(contact[0, 0]), complex(contact[0, -1]))
+    blocks = _pair_blocks(d, *_stay_flip(n, cfg.interaction_phase))
     norms = _power_norms(blocks, t_max, _momentum_span(d, t_max))
     return list(enumerate((norms / (2 * d)).tolist()))
 
@@ -306,7 +296,7 @@ def _pair_blocks(d: int, stay: complex, flip: complex) -> np.ndarray:
     doubled = 2 * np.arange(d)
     backward = turn_table(doubled, d)
     forward = turn_table(-doubled, d)
-    stay, flip = _parts(stay), _parts(flip)
+    stay, flip = complex_parts(stay), complex_parts(flip)
     blocks = np.empty((d, 2, 2), dtype=complex)
     for (i, j), amp, turn in (
         ((0, 0), stay, forward),
@@ -314,5 +304,5 @@ def _pair_blocks(d: int, stay: complex, flip: complex) -> np.ndarray:
         ((1, 0), flip, backward),
         ((1, 1), stay, backward),
     ):
-        blocks.real[:, i, j], blocks.imag[:, i, j] = _mul(amp, turn)
+        blocks.real[:, i, j], blocks.imag[:, i, j] = complex_mul(amp, turn)
     return blocks

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import pi
 
@@ -121,43 +122,49 @@ def dense_interaction_matrix(config: LatticeConfig) -> np.ndarray:
     dim = (2 * d) ** n
     out = np.zeros((dim, dim), dtype=complex)
     free = free_coin_oracle(config)
+    # label index of every coin string at the origin, particle 0 most significant
+    coin_offsets = np.array(
+        [sum(((cbits >> (n - 1 - q)) & 1) * (2 * d) ** (n - 1 - q) for q in range(n)) for cbits in range(1 << n)]
+    )
+    coin_ops: dict[tuple, np.ndarray] = {}
     for pos in product(range(d), repeat=n):
         groups: dict[int, list[int]] = {}
         for particle, x in enumerate(pos):
             groups.setdefault(x, []).append(particle)
-        coin_op = np.eye(1 << n, dtype=complex)
-        for members in groups.values():
-            if len(members) >= 2:
-                for a in range(len(members)):
-                    for b in range(a + 1, len(members)):
-                        coin_op = embed_two_qubit(
-                            grover4(config.interaction_phase), members[a], members[b], n
-                        ) @ coin_op
-            elif free is not None:
-                coin_op = embed_one_qubit(free, members[0], n) @ coin_op
-        base = label_index(config, pos, (1,) * n)
-        offsets = []
-        for cbits in range(1 << n):
-            offset = 0
-            for q in range(n):
-                bit = (cbits >> (n - 1 - q)) & 1
-                offset += bit * (2 * d) ** (n - 1 - q)
-            offsets.append(base + offset)
-        for ccol in range(1 << n):
-            for crow in range(1 << n):
-                amp = coin_op[crow, ccol]
-                if amp != 0:
-                    out[offsets[crow], offsets[ccol]] += amp
+        key = tuple(map(tuple, groups.values()))
+        coin_op = coin_ops.get(key)
+        if coin_op is None:
+            coin_op = np.eye(1 << n, dtype=complex)
+            for members in key:
+                if len(members) >= 2:
+                    for a in range(len(members)):
+                        for b in range(a + 1, len(members)):
+                            coin_op = embed_two_qubit(
+                                grover4(config.interaction_phase), members[a], members[b], n
+                            ) @ coin_op
+                elif free is not None:
+                    coin_op = embed_one_qubit(free, members[0], n) @ coin_op
+            coin_ops[key] = coin_op
+        offsets = label_index(config, pos, (1,) * n) + coin_offsets
+        # adding to zeros, as entry by entry, stores +0.0 for a signed zero
+        out[np.ix_(offsets, offsets)] += coin_op
     return out
 
 
 def dense_shift_matrix(config: LatticeConfig) -> np.ndarray:
-    n, d = config.particle_count, config.site_count
+    """Read-only; one per (n, d), as it does not depend on the phase or coin."""
+    return _dense_shift(config.particle_count, config.site_count)
+
+
+@lru_cache(maxsize=4)
+def _dense_shift(n: int, d: int) -> np.ndarray:
+    config = LatticeConfig(n, d, Fraction(1))
     dim = (2 * d) ** n
     out = np.zeros((dim, dim), dtype=complex)
     for pos, coins in all_labels(config):
         moved = tuple((x + c) % d for x, c in zip(pos, coins))
         out[label_index(config, moved, coins), label_index(config, pos, coins)] = 1.0
+    out.setflags(write=False)
     return out
 
 

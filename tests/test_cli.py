@@ -250,6 +250,31 @@ def test_phase_outside_the_open_circle_exits_2(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["check-eigen", "--n", "2", "--d", "8", "--tol", "nan"],
+        ["check-eigen", "--n", "2", "--d", "8", "--tol", "inf"],
+        ["check-eigen", "--all", "--d", "8", "--tol=-1e-12"],
+        ["ghz-scan", "--n-values", "2,3", "--phi-grid", "12", "--threshold", "nan"],
+        ["ghz-scan", "--n-values", "2,3", "--phi-grid", "12", "--threshold", "inf"],
+        ["ghz-scan", "--n-values", "2,3", "--phi-grid", "12", "--threshold=-inf"],
+    ],
+)
+def test_out_of_domain_flags_exit_2(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_finite_flags_at_the_domain_edge_run(capsys):
+    assert run(["check-eigen", "--n", "2", "--d", "8", "--tol", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 2
+    assert run(["ghz-scan", "--n-values", "2", "--phi-grid", "4", "--threshold=-1e300"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 2 * 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["spectrum", "--d", "0"],
         ["spectrum", "--d", "-3"],
         ["evolve", "--steps", "-1"],

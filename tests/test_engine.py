@@ -282,15 +282,16 @@ def test_any_multiple_of_an_eigenvector_is_certified(coin):
 
 
 def test_walk_size_arithmetic():
-    # 56 bytes per coin-block entry; (n+1) float and 33 complex 4**n tables
-    assert walk_bytes(2, 10) == 10 * 4 * 56 + 16 * (3 * 8 + 33 * 16)
-    assert walk_bytes(4, 1) == 16 * 56 + 256 * (5 * 8 + 33 * 16)
+    # 56 bytes per coin-block entry; 3 bytes of index tables and 33 complex
+    # 4**n tables per coin-matrix entry
+    assert walk_bytes(2, 10) == 10 * 4 * 56 + 16 * (3 + 33 * 16)
+    assert walk_bytes(4, 1) == 16 * 56 + 256 * (3 + 33 * 16)
     assert walk_rows(3, 8, 2) == 27
     assert walk_rows(3, 8, 100) == 512
     assert walk_rows(4, 100, 1000, projected=True) == 100
     assert walk_rows(2, 100, 3, projected=True) == 4
-    # thirteen co-located walkers: the sector weights alone are 7.5 GB
-    assert (13 + 1) * 4**13 * 8 > MAX_WALK_BYTES
+    # thirteen co-located walkers: the 33 complex 4**13 tables alone are 33 GiB
+    assert 33 * 4**13 * 16 > MAX_WALK_BYTES
     with pytest.raises(ValueError):
         require_walk_fits(13, walk_rows(13, 8, 10))
     require_walk_fits(4, walk_rows(4, 8, 10))

@@ -4,9 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from borrowalk.evolution import interaction_group_matrix
+from borrowalk.evolution import contact_weights, interaction_group_matrix
 from borrowalk.fidelity import (
-    TripleSectorCoefficients,
     fidelity_sweep,
     persistence_closed,
     persistence_numeric,
@@ -31,17 +30,19 @@ def test_closed_form_anchor_points():
 def test_triple_sector_coefficients_match_the_group_matrix():
     rng = np.random.default_rng(47)
     for phi in [RESONANT, Fraction(1), Fraction(1, 5)] + list(rng.uniform(0.05, 6.2, size=10)):
-        coeffs = TripleSectorCoefficients.from_phase(phi)
+        weights = contact_weights(3, phi)
+        stay, flip = weights[0], weights[3]
+        e1, e3 = phase_factor(phi), phase_factor(phi, 3)
+        assert stay == pytest.approx((4.0 + 3.0 * e1 + e3) / 8.0, abs=1e-14)
+        assert flip == pytest.approx(((e1 - 1.0) ** 2 * (2.0 + e1)) / 8.0, abs=1e-14)
         dense = interaction_group_matrix(3, phi)
-        assert coeffs.stay == pytest.approx(dense[0, 0], abs=1e-14)
-        assert coeffs.flip == pytest.approx(dense[0, 7], abs=1e-14)
-        assert coeffs.stay == pytest.approx(dense[7, 7], abs=1e-14)
-        assert coeffs.flip == pytest.approx(dense[7, 0], abs=1e-14)
-        total = (3.0 + phase_factor(phi, 3)) / 4.0
-        assert coeffs.stay + coeffs.flip == pytest.approx(total, abs=1e-14)
-        matrix = coeffs.matrix()
-        assert matrix[0, 1] == matrix[1, 0] == coeffs.flip
-        assert not matrix.flags.writeable
+        assert stay == pytest.approx(dense[0, 0], abs=1e-14)
+        assert flip == pytest.approx(dense[0, 7], abs=1e-14)
+        assert stay == pytest.approx(dense[7, 7], abs=1e-14)
+        assert flip == pytest.approx(dense[7, 0], abs=1e-14)
+        total = (3.0 + e3) / 4.0
+        assert stay + flip == pytest.approx(total, abs=1e-14)
+        assert not weights.flags.writeable
 
 
 def test_trajectory_matches_closed_form():

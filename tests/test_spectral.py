@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from borrowalk import spectral
 from borrowalk.bound_states import bound_state, remove_particle
-from borrowalk.evolution import MAX_POWER_ENTRIES, projected_step
+from borrowalk.evolution import MAX_POWER_ENTRIES, contact_weights, projected_step
 from borrowalk.lattice import Ensemble, LatticeConfig, PureState, coin_tuples, make_basis_state, positions
 from borrowalk.spectral import (
-    aligned_pair_amplitudes,
     block_eigenvalues,
     momentum_block,
     momentum_bytes,
@@ -25,8 +24,14 @@ from oracles import orbit_key_reference, remove_particle_reference, survival_by_
 RESONANT = Fraction(2, 3)
 
 
+def aligned_pair(phi) -> tuple[complex, complex]:
+    """(stay, flip) = (c_0, c_2) of the pair contact coin."""
+    weights = contact_weights(2, phi)
+    return complex(weights[0]), complex(weights[-1])
+
+
 def test_aligned_pair_amplitudes_at_resonance():
-    stay, flip = aligned_pair_amplitudes(RESONANT)
+    stay, flip = aligned_pair(RESONANT)
     assert flip == pytest.approx((-3 + 1j * math.sqrt(3)) / 8, abs=1e-15)
     assert stay == pytest.approx((5 + 1j * math.sqrt(3)) / 8, abs=1e-15)
     assert stay - flip == 1.0
@@ -34,7 +39,7 @@ def test_aligned_pair_amplitudes_at_resonance():
 
 def test_momentum_block_structure():
     d, k = 8, 3
-    stay, flip = aligned_pair_amplitudes(RESONANT)
+    stay, flip = aligned_pair(RESONANT)
     theta = 2 * math.pi * k / d
     block = momentum_block(k, d, RESONANT).matrix
     assert block[0, 0] == pytest.approx(stay * cmath.exp(-1j * theta), abs=1e-14)
@@ -93,7 +98,7 @@ def test_branch_labels_pin_the_persistent_eigenvalues():
 
 
 def test_eigenvalue_modulus_product_is_momentum_free():
-    stay, flip = aligned_pair_amplitudes(RESONANT)
+    stay, flip = aligned_pair(RESONANT)
     expected = abs(stay * stay - flip * flip)
     assert expected == pytest.approx(0.5, abs=1e-15)
     for k in range(12):

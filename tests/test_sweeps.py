@@ -13,11 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from borrowalk.bound_states import GhzSpec, ghz_condition, ghz_condition_closed, scan_conditions
+from borrowalk.evolution import contact_weights
 from borrowalk.fidelity import fidelity_sweep, persistence_closed
 from borrowalk.lattice import check_phase, phase_factor, phase_grid, turn_table
 from borrowalk.spectral import (
     _pair_blocks,
-    aligned_pair_amplitudes,
     block_eigenvalues,
     momentum_block,
     spectrum_norms,
@@ -69,7 +69,8 @@ def test_spectrum_norms_is_the_block_eigenvalue_loop(d, phi):
 @example(8, Fraction(1))
 @example(12, Fraction(1, 2))
 def test_stacked_blocks_are_the_momentum_blocks(d, phi):
-    blocks = _pair_blocks(d, *aligned_pair_amplitudes(phi))
+    weights = contact_weights(2, phi)
+    blocks = _pair_blocks(d, weights[0], weights[-1])
     for k in range(d):
         assert (blocks[k] == momentum_block(k, d, phi).matrix).all()
 
