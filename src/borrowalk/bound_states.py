@@ -29,6 +29,7 @@ from .lattice import (
     complex_parts,
     inner_product,
     phase_factor,
+    turn_table,
 )
 
 _BRANCH_SIGN = {2: -1.0, 3: 1.0, 4: -1.0}
@@ -135,7 +136,17 @@ def ghz_condition(arity: int, phi, ghz: GhzSpec, k: int = 0, d: int = 2) -> floa
     if arity != ghz.arity:
         raise ValueError("arity must match the coin state")
     hops = _momentum_phases(k, d)
-    image = interaction_group_matrix(arity, phi) @ ghz_coin(ghz)
+    matrix = interaction_group_matrix(arity, phi)
+    coin = [complex_parts(z) for z in ghz_coin(ghz).tolist()]
+    # rows 0 and -1 of matrix @ coin, term by term one float operation at a
+    # time, so the rounding depends on neither the BLAS build nor on whether
+    # the compiler fuses a complex product
+    image = []
+    for row in (0, -1):
+        total = (0.0, 0.0)
+        for entry, amplitude in zip(matrix[row].tolist(), coin):
+            total = complex_add(total, complex_mul(complex_parts(entry), amplitude))
+        image.append(total)
     return _phased_overlap(ghz, image, *hops)
 
 
@@ -146,10 +157,13 @@ def _momentum_phases(k: int, d: int) -> tuple[complex, complex]:
     return phase_factor(Fraction(2 * k, d), -1), phase_factor(Fraction(2 * k, d))
 
 
-def _phased_overlap(ghz: GhzSpec, image: np.ndarray, forward: complex, backward: complex) -> float:
-    value = ghz.beta.conjugate() * forward * image[0]
-    value += ghz.gamma.conjugate() * backward * image[-1]
-    return abs(value)
+def _phased_overlap(ghz: GhzSpec, image, forward: complex, backward: complex) -> float:
+    """|conj(beta) forward image[0] + conj(gamma) backward image[-1]|, the
+    image entries as (real, imag) pairs."""
+    top = complex_mul(complex_parts(ghz.beta.conjugate() * forward), image[0])
+    bottom = complex_mul(complex_parts(ghz.gamma.conjugate() * backward), image[-1])
+    # abs of a complex is the C library's hypot, as np.hypot is; math.hypot is not
+    return abs(complex(*complex_add(top, bottom)))
 
 
 def ghz_condition_closed(arity: int, phi, ghz: GhzSpec, k: int = 0, d: int = 2) -> float:
@@ -183,6 +197,24 @@ class ConditionPoint:
     closed_form_value: float
 
 
+def _contact_phases(phases, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of exp(i*phi*C(p, 2)) for every phase and
+    p = 0..top, each entry phase_factor's to the bit: one turn_table over the
+    common denominator of a grid of Fractions, phase_factor otherwise."""
+    multiples = [comb(p, 2) for p in range(top + 1)]
+    if all(isinstance(phi, Fraction) for phi in phases):
+        denominator = math.lcm(*(phi.denominator for phi in phases))
+        # below 2**30 every reduced turn count and product fits an int64
+        if denominator < 1 << 30:
+            period = 2 * denominator
+            steps = [phi.numerator * (denominator // phi.denominator) % period for phi in phases]
+            turns = np.outer(np.array(steps, dtype=np.int64), np.array(multiples, dtype=np.int64) % period)
+            return tuple(part.reshape(turns.shape) for part in turn_table(turns.ravel(), denominator))
+    table = np.array([[phase_factor(phi, m) for m in multiples] for phi in phases], dtype=complex)
+    table = table.reshape(len(phases), len(multiples))
+    return table.real, table.imag
+
+
 def scan_conditions(
     arities,
     phases,
@@ -197,17 +229,19 @@ def scan_conditions(
     together with the closed-form value at the same point.  No contact-coin
     matrix is formed: the coin maps beta|R..R> + gamma|L..L> to
     (c_0 beta + c_m gamma)|R..R> + (c_m beta + c_0 gamma)|L..L>, and (c_0, c_m)
-    come from one contact_parts pass over the whole grid per arity.  Every
-    complex product is spelled out as CPython computes it, so the values are
-    ghz_condition's to the bit.
+    come from one contact_parts pass over the whole grid per arity, all read
+    from one table of phase factors.  Every complex product and sum is
+    spelled out one float operation at a time, as ghz_condition does, so the
+    values are ghz_condition's to the bit.
     """
     arities = list(arities)
     require_scan_fits(len(phases), arities)
     spec_of = {"symmetric": GhzSpec.symmetric, "antisymmetric": GhzSpec.antisymmetric}
     momenta = [_momentum_phases(k, d) for k in k_values]
+    table = _contact_phases(phases, max(arities, default=0))
     points = []
     for arity in arities:
-        re, im = contact_parts(arity, phases, (0, arity))
+        re, im = contact_parts(arity, *(part[:, : arity + 1] for part in table), (0, arity))
         stay, flip = (re[:, 0], im[:, 0]), (re[:, 1], im[:, 1])
         for name in signs:
             ghz = spec_of[name](arity)

@@ -30,7 +30,7 @@ from .lattice import (
     PureState,
     code_weights,
     colocated_unit,
-    phase_table,
+    phase_factor,
     positions,
 )
 
@@ -76,10 +76,11 @@ def _krawtchouk(m: int) -> np.ndarray:
     return weights
 
 
-def contact_parts(m: int, phases, rows) -> tuple[np.ndarray, np.ndarray]:
+def contact_parts(m: int, re: np.ndarray, im: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of the contact weights c_w, w in `rows`, of m
-    co-located walkers at every phase, shape (len(phases), len(rows)).
+    co-located walkers at a batch of phases, shape (phases, len(rows)).
 
+    re and im hold exp(i*phi*C(p, 2)) for p = 0..m, one row per phase.
     c_w = 2**-m sum_p K_{m-p}(w) exp(i*phi*C(p, 2)) is a running sum over p
     in ascending order, term by term as np.add.accumulate adds (np.sum would
     pair the terms), so the weights of one phase do not depend on the other
@@ -89,13 +90,13 @@ def contact_parts(m: int, phases, rows) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"the contact coin is computed for 1 to {MAX_CONTACT_ARITY} co-located walkers")
     weights = _krawtchouk(m)[list(rows)]
     scale = 0.5**m
-    re, im = phase_table(phases, [comb(p, 2) for p in range(m + 1)])
     return tuple(np.add.accumulate(part[:, None, :] * weights, axis=2)[:, :, -1] * scale for part in (re, im))
 
 
 # a few entries serve repeated lookups of one phase, as a loop over momentum
-# sectors makes; the matrices built from them have their own cache
-@lru_cache(maxsize=32)
+# sectors makes; the matrices built from them have their own cache.  Typed,
+# because Fraction(1, 2) (pi/2) and 0.5 (radians) are equal keys otherwise.
+@lru_cache(maxsize=32, typed=True)
 def contact_weights(m: int, phi) -> np.ndarray:
     """The m + 1 numbers that fix the contact coin of m co-located walkers:
     entry (a, b) of the coin is c_w, w = popcount(a ^ b).
@@ -106,7 +107,8 @@ def contact_weights(m: int, phi) -> np.ndarray:
     factor, so sums that cancel algebraically cancel exactly at right-angle
     phases too, and long products of the coin do not drift there.
     """
-    re, im = contact_parts(m, [phi], range(m + 1))
+    phases = np.array([phase_factor(phi, comb(p, 2)) for p in range(m + 1)])
+    re, im = contact_parts(m, phases.real[None], phases.imag[None], range(m + 1))
     weights = np.empty(m + 1, dtype=complex)
     weights.real, weights.imag = re[0], im[0]
     weights.setflags(write=False)
@@ -123,7 +125,8 @@ def _popcounts(m: int) -> np.ndarray:
     return counts
 
 
-@lru_cache(maxsize=1024)
+# typed for the reason contact_weights is
+@lru_cache(maxsize=1024, typed=True)
 def interaction_group_matrix(m: int, phi) -> np.ndarray:
     """Coin operator for m co-located particles, i.e. the full pair product,
     gathered from contact_weights(m, phi) by the Hamming distance of row
@@ -170,7 +173,7 @@ def scan_bytes(grid: int, arities) -> int:
     """Bytes an alignment scan over a grid of `grid` phases holds at most.
 
     Per phase: its Fraction.  Per phase and contact term (m + 1 of them for
-    arity m): the turn and angle tables of contact_parts.  Per phase and
+    arity m): the phase tables and running sums of contact_parts.  Per phase and
     arity: up to four hits (two branch signs, two momenta), each a
     ConditionPoint with its output row and printed text.
     """

@@ -14,7 +14,7 @@ import cmath
 import math
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -87,36 +87,6 @@ def turn_table(numerators, denominator: int) -> tuple[np.ndarray, np.ndarray]:
         hit = 2 * turns == quarter * denominator
         re[hit] = exact.real
         im[hit] = exact.imag
-    return re, im
-
-
-def phase_table(phases, multiples) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of phase_factor(phi, m), shape (len(phases),
-    len(multiples)), for every phase phi and integer multiple m, to the bit.
-
-    Fraction phases share one turn_table over their common denominator while
-    it stays below 2**30, so every turn count fits an int64; float phases
-    take math.cos and math.sin of m * phi, as cmath.exp does.
-    """
-    multiples = [int(m) for m in multiples]
-    re = np.empty((len(phases), len(multiples)))
-    im = np.empty_like(re)
-    exact = [i for i, phi in enumerate(phases) if isinstance(phi, Fraction)]
-    denominator = math.lcm(*(phases[i].denominator for i in exact))
-    if exact and denominator < 1 << 30:
-        period = 2 * denominator
-        steps = [phases[i].numerator * (denominator // phases[i].denominator) % period for i in exact]
-        turns = np.array(steps, dtype=np.int64)[:, None] * (np.array(multiples, dtype=np.int64) % period)
-        re[exact], im[exact] = (part.reshape(turns.shape) for part in turn_table(turns.ravel(), denominator))
-    elif exact:
-        values = np.array([[phase_factor(phases[i], m) for m in multiples] for i in exact], dtype=complex)
-        re[exact], im[exact] = values.real, values.imag
-    floats = [i for i, phi in enumerate(phases) if not isinstance(phi, Fraction)]
-    if floats:
-        angles = np.array([float(phases[i]) for i in floats])[:, None] * np.array(multiples, dtype=float)
-        flat = angles.ravel().tolist()
-        re[floats] = np.fromiter(map(math.cos, flat), float, len(flat)).reshape(angles.shape)
-        im[floats] = np.fromiter(map(math.sin, flat), float, len(flat)).reshape(angles.shape)
     return re, im
 
 
@@ -209,6 +179,9 @@ class LatticeConfig:
     site_count: int
     interaction_phase: float | Fraction
     free_coin: str | tuple[float, float, float] = "identity"
+    # Fraction(1, 2) (pi/2) == 0.5 (radians), so the unit takes part in
+    # equality and hashing, and caches keyed on a lattice keep the two apart
+    _phase_in_pi: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.particle_count < 1:
@@ -221,6 +194,7 @@ class LatticeConfig:
         object.__setattr__(
             self, "interaction_phase", check_phase(self.interaction_phase, "interaction_phase")
         )
+        object.__setattr__(self, "_phase_in_pi", isinstance(self.interaction_phase, Fraction))
         coin = self.free_coin
         if isinstance(coin, str):
             if coin not in _FREE_COINS:

@@ -1,10 +1,9 @@
 """The contact kernel: the coin of m co-located walkers from m + 1 numbers.
 
-contact_weights is checked against the oracle's explicit pair product for
-small groups, entry by entry through the Hamming distance of coin strings,
-exactly at quarter-turn phases for every group size it serves, and for unit
-row norm at other phases.  The alignment scan built on it is bounded before
-it starts.
+contact_weights is checked exactly at quarter-turn phases for every group
+size it serves and for unit row norm at other phases (test_evolution checks
+it against the oracle's explicit pair product).  The alignment scan built on
+it is the dense condition to the bit and is bounded before it starts.
 """
 
 import math
@@ -13,14 +12,13 @@ import tracemalloc
 from fractions import Fraction
 from math import comb
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import borrowalk.cli as cli
 import borrowalk.evolution as evolution
-from borrowalk.bound_states import scan_conditions
+from borrowalk.bound_states import ghz_condition, scan_conditions
 from borrowalk.cli import run
 from borrowalk.evolution import (
     MAX_CONTACT_ARITY,
@@ -29,24 +27,14 @@ from borrowalk.evolution import (
     require_scan_fits,
     scan_bytes,
 )
-from borrowalk.lattice import phase_factor, phase_grid, phase_table
+from borrowalk.lattice import phase_factor, phase_grid
 
-from oracles import group_matrix_oracle
-
-PHASES = (Fraction(2, 3), Fraction(1, 5), Fraction(1), 1.234, 1e-160)
-
-
-@pytest.mark.parametrize("m", range(1, 7))
-@pytest.mark.parametrize("phi", PHASES)
-def test_contact_weights_match_the_pair_product_oracle(m, phi):
-    weights = contact_weights(m, phi)
-    assert weights.shape == (m + 1,) and not weights.flags.writeable
-    coins = np.arange(1 << m)
-    distance = np.array([[bin(a ^ b).count("1") for b in coins] for a in coins])
-    assert np.allclose(weights[distance], group_matrix_oracle(m, phi), atol=1e-13)
-    matrix = interaction_group_matrix(m, phi)
-    assert (matrix == weights[distance]).all()
-    assert matrix[0, 0] == weights[0] and matrix[0, -1] == weights[m]
+def test_contact_weights_keep_the_phase_unit_apart():
+    # Fraction(1, 2) is pi/2 and 0.5 is radians, yet the two are equal keys
+    assert contact_weights(2, Fraction(1, 2))[0] == 0.75 + 0.25j
+    radians = contact_weights(2, 0.5)
+    assert radians[0] == (3 + phase_factor(0.5)) / 4
+    assert (interaction_group_matrix(2, Fraction(1, 2)) != interaction_group_matrix(2, 0.5)).any()
 
 
 def _exact_weights(m: int, quarter_turns: int) -> list[tuple[Fraction, Fraction]]:
@@ -96,21 +84,18 @@ phases = st.one_of(
 )
 
 
-def _bits(x: float) -> tuple[float, float]:
-    return x, math.copysign(1.0, x)
-
-
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.lists(phases, max_size=12), st.lists(st.integers(0, 2000), min_size=1, max_size=8))
-@example([Fraction(1, 2**31 + 1), Fraction(2, 3), 1.3], [0, 1, 3, 2**31])
-@example([5e-324, 1e-160, Fraction(3, 2)], [0, 1, 6])
-def test_phase_table_is_phase_factor(grid, multiples):
-    re, im = phase_table(grid, multiples)
-    assert re.shape == im.shape == (len(grid), len(multiples))
-    for i, phi in enumerate(grid):
-        for j, m in enumerate(multiples):
-            w = phase_factor(phi, m)
-            assert (_bits(re[i, j]), _bits(im[i, j])) == (_bits(w.real), _bits(w.imag))
+@given(st.lists(phases, max_size=8), st.lists(st.integers(2, 6), min_size=1, max_size=3))
+@example([Fraction(1, 2**31 + 1), Fraction(2, 3)], [2, 3])
+@example([1e-160, Fraction(3, 2), 1.3], [4])
+@example([], [2])
+def test_scan_is_the_dense_condition_on_any_grid(grid, arities):
+    # threshold -1 keeps every point: a shared turn table over Fractions, and
+    # phase_factor for floats and large denominators, both to the bit
+    points = scan_conditions(arities, grid, threshold=-1.0)
+    assert len(points) == len(arities) * 2 * len(grid) * 2
+    for p in points:
+        assert p.value == ghz_condition(p.arity, p.phase, p.ghz, p.momentum_index)
 
 
 def test_scan_size_arithmetic():

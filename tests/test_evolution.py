@@ -7,6 +7,7 @@ import pytest
 from borrowalk.evolution import (
     apply_interaction,
     apply_shift,
+    contact_weights,
     free_coin_matrix,
     interaction_group_matrix,
     projected_step,
@@ -35,8 +36,8 @@ def test_pair_matrix_matches_projector_definition(phi):
     assert np.allclose(ours.conj().T @ ours, np.eye(4), atol=1e-14)
 
 
-@pytest.mark.parametrize("m", range(2, 7))
-@pytest.mark.parametrize("phi", (Fraction(2, 3), 1.234))
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("phi", (Fraction(2, 3), 1.234, Fraction(1, 5), Fraction(1), 1e-160))
 def test_group_matrix_routes_agree(m, phi):
     diagonal_route = interaction_group_matrix(m, phi)
     product_route = _pair_product(m, phi)
@@ -45,6 +46,24 @@ def test_group_matrix_routes_agree(m, phi):
     assert np.allclose(diagonal_route, oracle, atol=1e-13)
     identity = np.eye(1 << m)
     assert np.allclose(diagonal_route.conj().T @ diagonal_route, identity, atol=1e-13)
+    # entry (a, b) is the contact weight at the Hamming distance of a and b
+    weights = contact_weights(m, phi)
+    assert weights.shape == (m + 1,) and not weights.flags.writeable
+    coins = np.arange(1 << m)
+    distance = np.array([[bin(a ^ b).count("1") for b in coins] for a in coins])
+    assert (diagonal_route == weights[distance]).all()
+
+
+def test_lattices_keep_the_phase_unit_apart():
+    # Fraction(1, 2) is pi/2 and 0.5 is radians; the coin-stage caches are
+    # keyed on the lattice
+    exact, radians = LatticeConfig(2, 5, Fraction(1, 2)), LatticeConfig(2, 5, 0.5)
+    assert exact != radians
+    for cfg in (exact, radians, exact):
+        state = make_basis_state(cfg, (0, 0), (1, -1))
+        stepped = apply_interaction(state)
+        expected = interaction_group_matrix(2, cfg.interaction_phase) @ state.block[0]
+        assert np.allclose(stepped.block[0], expected, atol=1e-15)
 
 
 def _pair_product(m, phi, pair_order=None):
