@@ -4,9 +4,12 @@ A bound multiplet is a uniform or alternating wave of all particles on one
 site, dressed with a two-branch coin state beta|R..R> + gamma|L..L>.  The
 walk step maps that coin state through the full contact product and a
 momentum phase; the multiplet is exact exactly when the phased overlap has
-modulus one.  Both a dense coin-space evaluation of that modulus and a
-closed sector expansion are provided, plus a grid scan and the mixture left
-behind after one particle is lost.
+modulus one.  The grid scan evaluates that modulus twice from one table of
+phase factors: from the aligned pair (c_0, c_m) of the contact coin, and from
+the sector expansion over rotated-basis strings.  The two share their
+inputs, so they are not independent routes; tests/oracles.py keeps the dense
+coin-space and per-point references they are checked against.  The mixture
+left behind after one particle is lost completes the module.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .evolution import contact_parts, interaction_group_matrix, require_scan_fits, step
+from .evolution import contact_parts, require_scan_fits, step
 from .lattice import (
     Ensemble,
     LatticeConfig,
@@ -61,14 +64,6 @@ class GhzSpec:
     def antisymmetric(cls, arity: int) -> "GhzSpec":
         s = 1.0 / math.sqrt(2.0)
         return cls(arity, s, -s)
-
-
-def ghz_coin(spec: GhzSpec) -> np.ndarray:
-    """Dense coin-space vector with beta on all-right and gamma on all-left."""
-    vec = np.zeros(1 << spec.arity, dtype=complex)
-    vec[0] = spec.beta
-    vec[-1] = spec.gamma
-    return vec
 
 
 def bound_state(config: LatticeConfig, arity: int, r: int = 0) -> PureState:
@@ -125,66 +120,11 @@ def verify_eigenstate(state: PureState, tol: float = 1e-12) -> EigenReport:
     return EigenReport(residual <= tol, lam, residual)
 
 
-def ghz_condition(arity: int, phi, ghz: GhzSpec, k: int = 0, d: int = 2) -> float:
-    """Modulus of the phased overlap between the two-branch coin state and its
-    image under the full contact product, evaluated densely.
-
-    The value is 1 exactly when the multiplet is an eigenstate in momentum
-    sector k.  It depends on k and d only through k/d, so the default ring of
-    two sites already realizes both relevant sectors.
-    """
-    if arity != ghz.arity:
-        raise ValueError("arity must match the coin state")
-    hops = _momentum_phases(k, d)
-    matrix = interaction_group_matrix(arity, phi)
-    coin = [complex_parts(z) for z in ghz_coin(ghz).tolist()]
-    # rows 0 and -1 of matrix @ coin, term by term one float operation at a
-    # time, so the rounding depends on neither the BLAS build nor on whether
-    # the compiler fuses a complex product
-    image = []
-    for row in (0, -1):
-        total = (0.0, 0.0)
-        for entry, amplitude in zip(matrix[row].tolist(), coin):
-            total = complex_add(total, complex_mul(complex_parts(entry), amplitude))
-        image.append(total)
-    return _phased_overlap(ghz, image, *hops)
-
-
 def _momentum_phases(k: int, d: int) -> tuple[complex, complex]:
     """(exp(-2*pi*i*k/d), exp(2*pi*i*k/d)), the forward and backward hop phases."""
     if not 0 <= k < d:
         raise ValueError("momentum index must lie in [0, d)")
     return phase_factor(Fraction(2 * k, d), -1), phase_factor(Fraction(2 * k, d))
-
-
-def _phased_overlap(ghz: GhzSpec, image, forward: complex, backward: complex) -> float:
-    """|conj(beta) forward image[0] + conj(gamma) backward image[-1]|, the
-    image entries as (real, imag) pairs."""
-    top = complex_mul(complex_parts(ghz.beta.conjugate() * forward), image[0])
-    bottom = complex_mul(complex_parts(ghz.gamma.conjugate() * backward), image[-1])
-    # abs of a complex is the C library's hypot, as np.hypot is; math.hypot is not
-    return abs(complex(*complex_add(top, bottom)))
-
-
-def ghz_condition_closed(arity: int, phi, ghz: GhzSpec, k: int = 0, d: int = 2) -> float:
-    """Same modulus from the sector expansion over rotated-basis strings,
-    grouped by their number of antisymmetric factors.
-
-    Expanding the all-left branch in the rotated basis contributes
-    gamma times (-1) to the power of that count, hence the sign below.
-    """
-    if arity != ghz.arity:
-        raise ValueError("arity must match the coin state")
-    forward, backward = _momentum_phases(k, d)
-    total = 0j
-    scale = 1.0 / (1 << arity)
-    for zeros in range(arity + 1):
-        sign = -1.0 if zeros % 2 else 1.0
-        weight = comb(arity, zeros) * scale
-        bra = ghz.beta.conjugate() * forward + ghz.gamma.conjugate() * backward * sign
-        ket = ghz.beta + ghz.gamma * sign
-        total += weight * bra * ket * phase_factor(phi, comb(arity - zeros, 2))
-    return abs(total)
 
 
 @dataclass(frozen=True)
@@ -215,6 +155,28 @@ def _contact_phases(phases, top: int) -> tuple[np.ndarray, np.ndarray]:
     return table.real, table.imag
 
 
+def _sector_values(ghz: GhzSpec, forward: complex, backward: complex, re, im) -> np.ndarray:
+    """Condition value from the sector expansion over rotated-basis strings,
+    grouped by their number z of antisymmetric factors, at a batch of phases:
+    |sum_z C(m, z) 2**-m bra_z ket_z exp(i*phi*C(m - z, 2))|, where re and im
+    hold exp(i*phi*C(p, 2)) for p = 0..m, one row per phase.
+
+    Expanding the all-left branch in the rotated basis contributes gamma
+    times (-1)**z, hence the sign below.  The sum runs over z in ascending
+    order, the phase product and the sum one float operation at a time.
+    """
+    m = ghz.arity
+    scale = 1.0 / (1 << m)
+    total = (0.0, 0.0)
+    for zeros in range(m + 1):
+        sign = -1.0 if zeros % 2 else 1.0
+        bra = ghz.beta.conjugate() * forward + ghz.gamma.conjugate() * backward * sign
+        ket = ghz.beta + ghz.gamma * sign
+        weight = complex_parts(comb(m, zeros) * scale * bra * ket)
+        total = complex_add(total, complex_mul(weight, (re[:, m - zeros], im[:, m - zeros])))
+    return np.hypot(*total)
+
+
 def scan_conditions(
     arities,
     phases,
@@ -225,14 +187,16 @@ def scan_conditions(
 ) -> list[ConditionPoint]:
     """Grid search for parameter points where the alignment condition reaches one.
 
-    Returns every grid point whose dense condition value meets the threshold,
-    together with the closed-form value at the same point.  No contact-coin
-    matrix is formed: the coin maps beta|R..R> + gamma|L..L> to
+    Returns every grid point whose condition value meets the threshold,
+    together with the sector-expansion value at the same point.  No
+    contact-coin matrix is formed: the coin maps beta|R..R> + gamma|L..L> to
     (c_0 beta + c_m gamma)|R..R> + (c_m beta + c_0 gamma)|L..L>, and (c_0, c_m)
-    come from one contact_parts pass over the whole grid per arity, all read
-    from one table of phase factors.  Every complex product and sum is
-    spelled out one float operation at a time, as ghz_condition does, so the
-    values are ghz_condition's to the bit.
+    come from one contact_parts pass over the whole grid per arity.  The
+    sector expansion of every hit of one arity, branch sign and momentum is
+    one array pass.  Both read one table of phase factors, and every complex
+    product and sum is spelled out one float operation at a time, so the two
+    columns equal the dense and the per-point references of tests/oracles.py
+    to the bit.
     """
     arities = list(arities)
     require_scan_fits(len(phases), arities)
@@ -241,7 +205,8 @@ def scan_conditions(
     table = _contact_phases(phases, max(arities, default=0))
     points = []
     for arity in arities:
-        re, im = contact_parts(arity, *(part[:, : arity + 1] for part in table), (0, arity))
+        re_table, im_table = (part[:, : arity + 1] for part in table)
+        re, im = contact_parts(arity, re_table, im_table, (0, arity))
         stay, flip = (re[:, 0], im[:, 0]), (re[:, 1], im[:, 1])
         for name in signs:
             ghz = spec_of[name](arity)
@@ -249,48 +214,20 @@ def scan_conditions(
             top = complex_add(complex_mul(stay, beta), complex_mul(flip, gamma))
             bottom = complex_add(complex_mul(flip, beta), complex_mul(stay, gamma))
             values = np.empty((len(phases), len(momenta)))
+            closed = np.empty_like(values)
             for column, (forward, backward) in enumerate(momenta):
-                # as _phased_overlap: conj(beta) * forward * top + conj(gamma) * backward * bottom
+                # conj(beta) * forward * top + conj(gamma) * backward * bottom
                 bra_top = complex_parts(ghz.beta.conjugate() * forward)
                 bra_bottom = complex_parts(ghz.gamma.conjugate() * backward)
                 overlap = complex_add(complex_mul(bra_top, top), complex_mul(bra_bottom, bottom))
                 # np.hypot, not np.abs, is what abs() of a Python complex computes
                 values[:, column] = np.hypot(*overlap)
+                hit = values[:, column] >= threshold
+                closed[hit, column] = _sector_values(ghz, forward, backward, re_table[hit], im_table[hit])
             for row, column in zip(*np.nonzero(values >= threshold)):
-                phi, k = phases[row], k_values[column]
-                closed = ghz_condition_closed(arity, phi, ghz, k, d)
-                points.append(ConditionPoint(arity, phi, k, ghz, float(values[row, column]), closed))
+                value, closed_value = float(values[row, column]), float(closed[row, column])
+                points.append(ConditionPoint(arity, phases[row], k_values[column], ghz, value, closed_value))
     return points
-
-
-def refine_condition_peak(
-    arity: int,
-    phi0: float,
-    ghz: GhzSpec,
-    k: int = 0,
-    d: int = 2,
-    halfwidth: float = 0.02,
-    iterations: int = 60,
-) -> tuple[float, float]:
-    """Polish a grid hit by golden-section search of the condition value
-    around phi0; returns the refined (phase, value)."""
-    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = phi0 - halfwidth, phi0 + halfwidth
-    a = hi - inv_golden * (hi - lo)
-    b = lo + inv_golden * (hi - lo)
-    fa = ghz_condition(arity, a, ghz, k, d)
-    fb = ghz_condition(arity, b, ghz, k, d)
-    for _ in range(iterations):
-        if fa < fb:
-            lo, a, fa = a, b, fb
-            b = lo + inv_golden * (hi - lo)
-            fb = ghz_condition(arity, b, ghz, k, d)
-        else:
-            hi, b, fb = b, a, fa
-            a = hi - inv_golden * (hi - lo)
-            fa = ghz_condition(arity, a, ghz, k, d)
-    best = 0.5 * (lo + hi)
-    return best, ghz_condition(arity, best, ghz, k, d)
 
 
 def remove_particle(state: PureState) -> Ensemble:

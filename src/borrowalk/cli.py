@@ -15,7 +15,16 @@ from itertools import chain
 
 from .bound_states import bound_state, remove_particle, scan_conditions, verify_eigenstate
 from .cobosons import coboson_report, depleted_norm
-from .evolution import projected_step, require_scan_fits, require_walk_fits, step, walk_rows
+from .evolution import (
+    fidelity_bytes,
+    projected_step,
+    require_bytes_fit,
+    require_scan_fits,
+    require_walk_fits,
+    spectrum_bytes,
+    step,
+    walk_rows,
+)
 from .fidelity import fidelity_sweep
 from .jsonout import dumps, records, walk_snapshots
 from .lattice import LatticeConfig, as_coin, make_basis_state, parse_phase, phase_grid, phase_radians
@@ -156,6 +165,7 @@ def _cmd_ghz_scan(args) -> None:
 
 
 def _cmd_spectrum(args) -> None:
+    require_bytes_fit(spectrum_bytes(args.d), f"a spectrum of {args.d} momentum sectors")
     rows = spectrum_norms(args.d, args.phi)
     if args.format == "json":
         _emit_json(records(("k_over_d", "abs_lambda_plus", "abs_lambda_minus"), rows), args.output)
@@ -187,6 +197,10 @@ def _cmd_survival(args) -> None:
 
 def _cmd_fidelity(args) -> None:
     t_values = _parse_int_list(args.t)
+    grid = 1 if args.phi is not None else args.phi_grid
+    # bounded before the phase grid is built
+    request = f"a fidelity sweep of {grid} phases by {len(t_values)} step counts"
+    require_bytes_fit(fidelity_bytes(grid, len(t_values)), request)
     phases = [args.phi] if args.phi is not None else phase_grid(args.phi_grid)
     rows = fidelity_sweep(phases, t_values)
     if args.format == "json":

@@ -118,9 +118,3 @@ def coboson_report(composites: int, d: int, constituents: int = 3) -> CobosonRep
         approx_ratio=ratio_approx(composites, d),
     )
 
-
-def norm_table(max_composites: int, d: int, constituents: int = 3) -> list[CobosonReport]:
-    """Reports for 1 .. max_composites composites at fixed ring size."""
-    if max_composites < 1:
-        raise ValueError("need max_composites >= 1")
-    return [coboson_report(n, d, constituents) for n in range(1, max_composites + 1)]

@@ -57,6 +57,14 @@ _SCAN_PHASE_BYTES = 256
 _SCAN_TERM_BYTES = 128
 _SCAN_HIT_BYTES = 1024
 
+# spectrum_bytes per momentum sector and fidelity_bytes per phase and per
+# output row, rounded up from traced peaks of JSON requests (the larger
+# format): 566 bytes per sector at d = 64000; about 140 bytes per phase and
+# 450 per row over grids of 2000 to 20000 phases by 1 to 32 step counts
+_SPECTRUM_SECTOR_BYTES = 1024
+_FIDELITY_PHASE_BYTES = 256
+_FIDELITY_ROW_BYTES = 512
+
 # Entries (span x d) of each stacked array of momentum-block powers in the
 # momentum survival route; keeps its working set small whatever t_max is.
 MAX_POWER_ENTRIES = 1 << 15
@@ -180,6 +188,20 @@ def scan_bytes(grid: int, arities) -> int:
     arities = list(arities)
     return grid * (_SCAN_PHASE_BYTES + sum(m + 1 for m in arities) * _SCAN_TERM_BYTES
                    + len(arities) * 4 * _SCAN_HIT_BYTES)
+
+
+def spectrum_bytes(d: int) -> int:
+    """Bytes a spectrum over d momentum sectors holds at most: per sector, the
+    momentum, the turn table and the complex roots, the output row and its
+    printed text."""
+    return d * _SPECTRUM_SECTOR_BYTES
+
+
+def fidelity_bytes(grid: int, t_count: int) -> int:
+    """Bytes a fidelity sweep over a grid of `grid` phases by `t_count` step
+    counts holds at most: per phase, its Fraction and radians; per output
+    row, the (phi, t, p) tuple and its printed text."""
+    return grid * (_FIDELITY_PHASE_BYTES + t_count * _FIDELITY_ROW_BYTES)
 
 
 def require_scan_fits(grid: int, arities) -> None:

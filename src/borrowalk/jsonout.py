@@ -96,10 +96,11 @@ def _list_text(items: list[str], level: int) -> str:
 
 
 def walk_snapshots(snapshots):
-    """Pieces of json.dumps([{"t": t, "norm": norm, "amplitudes":
-    lattice.state_json_entries(state)} for t, norm, state in snapshots],
-    indent=2), written from the state arrays.
+    """Pieces of json.dumps([{"t": t, "norm": norm, "amplitudes": entries}
+    for t, norm, state in snapshots], indent=2), written from the state arrays.
 
+    `entries` lists the stored amplitudes in label order, each as
+    {"positions": [...], "coins": ["R" or "L", ...], "re": ..., "im": ...}.
     Sorted codes give the label order; within a code, columns in descending
     index put the coins in ascending order, L before R.
     """

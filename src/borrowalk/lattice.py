@@ -205,14 +205,6 @@ class LatticeConfig:
                 raise ValueError("a parametrized free coin needs three angles")
             object.__setattr__(self, "free_coin", angles)
 
-    @property
-    def phi_radians(self) -> float:
-        return phase_radians(self.interaction_phase)
-
-    def phase(self, m: int = 1) -> complex:
-        """exp(i*m*phi) for this lattice's contact phase."""
-        return phase_factor(self.interaction_phase, m)
-
 
 class PureState:
     """Wavefunction stored sparse over positions and dense over coins.
@@ -453,9 +445,6 @@ class Ensemble:
             ]
         return self._members
 
-    def total_weight(self) -> float:
-        return sum(w for w, _ in self.members)
-
 
 def ensemble_overlap(ensemble: Ensemble, state: PureState) -> float:
     """<state| rho |state> for the diagonal mixture rho."""
@@ -466,18 +455,3 @@ def ensemble_overlap(ensemble: Ensemble, state: PureState) -> float:
         total += weight * abs(inner_product(state, member)) ** 2
     return total
 
-
-def state_json_entries(state: PureState) -> list[dict]:
-    """JSON-ready rows sorted by label, one per stored amplitude.
-
-    Field order is fixed: positions, coins, re, im.
-    """
-    return [
-        {
-            "positions": list(pos),
-            "coins": [coin_char(c) for c in cns],
-            "re": a.real,
-            "im": a.imag,
-        }
-        for (pos, cns), a in state.amplitudes.items()
-    ]

@@ -1,9 +1,12 @@
-"""Independent dense-matrix oracles for the test suite.
+"""Independent dense-matrix oracles and per-point references for the test suite.
 
 Everything here is built from first principles with its own index
 conventions and its own pair embedding, so agreement with the library is
 evidence rather than tautology.  Dense matrices limit the reachable sizes;
-tests pick small rings accordingly.
+tests pick small rings accordingly.  The per-point references (the
+alignment condition, JSON rows of a state, the projected step as a full
+step and a projection) are the scalar forms of what the library computes
+in arrays.
 """
 
 from __future__ import annotations
@@ -13,12 +16,24 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import pi
+from math import comb, pi
 
 import numpy as np
 
-from borrowalk.evolution import step
-from borrowalk.lattice import LatticeConfig, PureState, colocated_unit, coin_tuples, positions
+from borrowalk.bound_states import GhzSpec, _momentum_phases
+from borrowalk.evolution import interaction_group_matrix, step
+from borrowalk.lattice import (
+    LatticeConfig,
+    PureState,
+    coin_char,
+    coin_tuples,
+    colocated_unit,
+    complex_add,
+    complex_mul,
+    complex_parts,
+    phase_factor,
+    positions,
+)
 
 
 def phi_to_radians(phi) -> float:
@@ -269,3 +284,86 @@ def orbit_key_reference(state: PureState):
     if len(pos) == 1:
         return key
     return min(key, (tuple((pos[0] - x) % d for x in pos), tuple(-c for c in coins)))
+
+
+def state_json_entries(state: PureState) -> list[dict]:
+    """JSON-ready rows sorted by label, one per stored amplitude, the rows
+    jsonout.walk_snapshots writes.  Field order is fixed: positions, coins,
+    re, im."""
+    return [
+        {
+            "positions": list(pos),
+            "coins": [coin_char(c) for c in cns],
+            "re": a.real,
+            "im": a.imag,
+        }
+        for (pos, cns), a in state.amplitudes.items()
+    ]
+
+
+def ghz_coin(spec: GhzSpec) -> np.ndarray:
+    """Dense coin-space vector with beta on all-right and gamma on all-left."""
+    vec = np.zeros(1 << spec.arity, dtype=complex)
+    vec[0] = spec.beta
+    vec[-1] = spec.gamma
+    return vec
+
+
+def ghz_condition(arity: int, phi, ghz: GhzSpec, k: int = 0, d: int = 2) -> float:
+    """Modulus of the phased overlap between the two-branch coin state and its
+    image under the full contact product, evaluated densely: the reference
+    for the scan's value column.
+
+    The value is 1 exactly when the multiplet is an eigenstate in momentum
+    sector k.  It depends on k and d only through k/d, so the default ring of
+    two sites already realizes both relevant sectors.
+    """
+    if arity != ghz.arity:
+        raise ValueError("arity must match the coin state")
+    hops = _momentum_phases(k, d)
+    matrix = interaction_group_matrix(arity, phi)
+    coin = [complex_parts(z) for z in ghz_coin(ghz).tolist()]
+    # rows 0 and -1 of matrix @ coin, term by term one float operation at a
+    # time, so the rounding depends on neither the BLAS build nor on whether
+    # the compiler fuses a complex product
+    image = []
+    for row in (0, -1):
+        total = (0.0, 0.0)
+        for entry, amplitude in zip(matrix[row].tolist(), coin):
+            total = complex_add(total, complex_mul(complex_parts(entry), amplitude))
+        image.append(total)
+    return _phased_overlap(ghz, image, *hops)
+
+
+def _phased_overlap(ghz: GhzSpec, image, forward: complex, backward: complex) -> float:
+    """|conj(beta) forward image[0] + conj(gamma) backward image[-1]|, the
+    image entries as (real, imag) pairs."""
+    top = complex_mul(complex_parts(ghz.beta.conjugate() * forward), image[0])
+    bottom = complex_mul(complex_parts(ghz.gamma.conjugate() * backward), image[-1])
+    # abs of a complex is the C library's hypot, as np.hypot is; math.hypot is not
+    return abs(complex(*complex_add(top, bottom)))
+
+
+def ghz_condition_closed(arity: int, phi, ghz: GhzSpec, k: int = 0, d: int = 2) -> float:
+    """Same modulus from the sector expansion over rotated-basis strings,
+    grouped by their number of antisymmetric factors, one phase_factor per
+    term: the reference for the scan's closed_value column.
+
+    Expanding the all-left branch in the rotated basis contributes
+    gamma times (-1) to the power of that count, hence the sign below.  The
+    phase product and the running sum are spelled out one float operation at
+    a time, as the scan writes them.
+    """
+    if arity != ghz.arity:
+        raise ValueError("arity must match the coin state")
+    forward, backward = _momentum_phases(k, d)
+    total = (0.0, 0.0)
+    scale = 1.0 / (1 << arity)
+    for zeros in range(arity + 1):
+        sign = -1.0 if zeros % 2 else 1.0
+        weight = comb(arity, zeros) * scale
+        bra = ghz.beta.conjugate() * forward + ghz.gamma.conjugate() * backward * sign
+        ket = ghz.beta + ghz.gamma * sign
+        phase = complex_parts(phase_factor(phi, comb(arity - zeros, 2)))
+        total = complex_add(total, complex_mul(complex_parts(weight * bra * ket), phase))
+    return abs(complex(*total))

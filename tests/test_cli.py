@@ -12,6 +12,7 @@ import borrowalk
 import borrowalk.cli as cli
 from borrowalk import evolution, lattice
 from borrowalk.cli import parse_phase, run
+from borrowalk.evolution import fidelity_bytes, spectrum_bytes
 from borrowalk.spectral import momentum_bytes
 
 
@@ -144,6 +145,56 @@ def test_momentum_survival_is_refused_before_work(monkeypatch, capsys):
     assert captured.err.startswith("error:")
     monkeypatch.setattr(evolution, "MAX_WALK_BYTES", momentum_bytes(6, 3))
     assert run(argv) == 0
+
+
+def test_spectrum_and_fidelity_size_arithmetic():
+    # per momentum sector; per phase and per (phase, step count) row
+    assert spectrum_bytes(4000) == 4000 * 1024
+    assert fidelity_bytes(720, 4) == 720 * (256 + 4 * 512)
+    # the benchmark's largest requests stay far below the limit
+    assert 100 * spectrum_bytes(4000) < evolution.MAX_WALK_BYTES
+    assert 100 * fidelity_bytes(720, 4) < evolution.MAX_WALK_BYTES
+    assert spectrum_bytes(10**9) > evolution.MAX_WALK_BYTES
+    # the rows, phases times step counts, are what a long --t list multiplies
+    assert fidelity_bytes(10**5, 1) < evolution.MAX_WALK_BYTES < fidelity_bytes(10**5, 100)
+
+
+@pytest.mark.parametrize(
+    "argv, model",
+    [
+        (["spectrum", "--d", "4000", "--format", "json"], spectrum_bytes(4000)),
+        (["fidelity", "--phi-grid", "2000", "--t", "1,2,3,4,5,6,7,8", "--format", "json"], fidelity_bytes(2000, 8)),
+    ],
+)
+def test_traced_peaks_stay_within_the_size_models(argv, model):
+    run(argv + ["-o", os.devnull])
+    tracemalloc.start()
+    try:
+        assert run(argv + ["-o", os.devnull]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= model
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--d", str(10**9)],
+        ["fidelity", "--phi-grid", str(10**9)],
+        ["fidelity", "--phi-grid", str(10**5), "--t", ",".join(map(str, range(100)))],
+    ],
+)
+def test_oversized_spectra_and_sweeps_are_refused_before_work(argv, monkeypatch, capsys):
+    def started(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for worker in ("spectrum_norms", "phase_grid", "fidelity_sweep"):
+        monkeypatch.setattr(cli, worker, started)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_fidelity_csv(capsys):

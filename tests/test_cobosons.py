@@ -10,7 +10,6 @@ from borrowalk.cobosons import (
     coboson_norm,
     coboson_report,
     depleted_norm,
-    norm_table,
     power_sum_norm_sq,
     ratio_approx,
 )
@@ -127,15 +126,6 @@ def test_report_fields():
     first = coboson_report(1, 3)
     assert first.norm_constant == 1
     assert first.ratio_to_previous == 1
-
-
-def test_norm_table_is_ordered():
-    table = norm_table(4, 5)
-    assert [r.composite_count for r in table] == [1, 2, 3, 4]
-    assert all(r.mode_count == 10 for r in table)
-    assert table[1].norm_constant == b2_closed(5)
-    with pytest.raises(ValueError):
-        norm_table(0, 5)
 
 
 def test_rejects_degenerate_arguments():

@@ -3,7 +3,8 @@
 contact_weights is checked exactly at quarter-turn phases for every group
 size it serves and for unit row norm at other phases (test_evolution checks
 it against the oracle's explicit pair product).  The alignment scan built on
-it is the dense condition to the bit and is bounded before it starts.
+it is the dense and the per-point condition of tests/oracles.py to the bit
+and is bounded before it starts.
 """
 
 import math
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import borrowalk.cli as cli
 import borrowalk.evolution as evolution
-from borrowalk.bound_states import ghz_condition, scan_conditions
+from borrowalk.bound_states import scan_conditions
 from borrowalk.cli import run
 from borrowalk.evolution import (
     MAX_CONTACT_ARITY,
@@ -28,6 +29,9 @@ from borrowalk.evolution import (
     scan_bytes,
 )
 from borrowalk.lattice import phase_factor, phase_grid
+
+from oracles import ghz_condition, ghz_condition_closed
+
 
 def test_contact_weights_keep_the_phase_unit_apart():
     # Fraction(1, 2) is pi/2 and 0.5 is radians, yet the two are equal keys
@@ -91,11 +95,13 @@ phases = st.one_of(
 @example([], [2])
 def test_scan_is_the_dense_condition_on_any_grid(grid, arities):
     # threshold -1 keeps every point: a shared turn table over Fractions, and
-    # phase_factor for floats and large denominators, both to the bit
+    # phase_factor for floats and large denominators, both to the bit, in
+    # both columns
     points = scan_conditions(arities, grid, threshold=-1.0)
     assert len(points) == len(arities) * 2 * len(grid) * 2
     for p in points:
         assert p.value == ghz_condition(p.arity, p.phase, p.ghz, p.momentum_index)
+        assert p.closed_form_value == ghz_condition_closed(p.arity, p.phase, p.ghz, p.momentum_index)
 
 
 def test_scan_size_arithmetic():

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from borrowalk.evolution import projected_step, step
 from borrowalk.jsonout import dumps, records, walk_snapshots
-from borrowalk.lattice import LatticeConfig, make_basis_state, state_json_entries
+from borrowalk.lattice import LatticeConfig, make_basis_state
+
+from oracles import state_json_entries
 
 writer = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 

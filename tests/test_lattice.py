@@ -16,12 +16,11 @@ from borrowalk.lattice import (
     phase_factor,
     phase_grid,
     phase_radians,
-    state_json_entries,
 )
 
 from borrowalk.evolution import apply_interaction
 
-from oracles import random_sparse_state
+from oracles import random_sparse_state, state_json_entries
 
 
 def test_coin_aliases():
@@ -106,9 +105,9 @@ def test_config_validation():
 
 def test_config_phase_helpers():
     cfg = LatticeConfig(3, 8, Fraction(2, 3))
-    assert cfg.phi_radians == pytest.approx(2 * math.pi / 3)
-    assert cfg.phase(3) == 1
-    assert abs(cfg.phase() - np.exp(2j * math.pi / 3)) < 1e-15
+    assert phase_radians(cfg.interaction_phase) == pytest.approx(2 * math.pi / 3)
+    assert phase_factor(cfg.interaction_phase, 3) == 1
+    assert abs(phase_factor(cfg.interaction_phase) - np.exp(2j * math.pi / 3)) < 1e-15
 
 
 def test_position_codes_must_fit_64_bits():
@@ -167,7 +166,7 @@ def test_ensemble_validation():
     with pytest.raises(ValueError):
         Ensemble([(0.5, member), (0.5, other)])
     ens = Ensemble([(0.25, member), (0.75, make_basis_state(cfg, (1, 1), "LL"))])
-    assert ens.total_weight() == pytest.approx(1.0)
+    assert sum(w for w, _ in ens.members) == pytest.approx(1.0)
     assert ens.config == cfg
 
 

@@ -2,7 +2,8 @@
 
 spectrum_norms, the stacked momentum blocks, fidelity_sweep and
 scan_conditions are compared with ==, not approx, against block_eigenvalues,
-momentum_block, persistence_closed and ghz_condition evaluated point by point.
+momentum_block, persistence_closed and the oracles' ghz_condition and
+ghz_condition_closed evaluated point by point.
 """
 
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from borrowalk.bound_states import GhzSpec, ghz_condition, ghz_condition_closed, scan_conditions
+from borrowalk.bound_states import GhzSpec, scan_conditions
 from borrowalk.evolution import contact_weights
 from borrowalk.fidelity import fidelity_sweep, persistence_closed
 from borrowalk.lattice import check_phase, phase_factor, phase_grid, turn_table
@@ -22,6 +23,8 @@ from borrowalk.spectral import (
     momentum_block,
     spectrum_norms,
 )
+
+from oracles import ghz_condition, ghz_condition_closed
 
 exact = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
