@@ -215,13 +215,14 @@ def require_scan_fits(grid: int, arities) -> None:
 
 
 def walk_rows(n: int, d: int, steps: int, projected: bool = False) -> int:
-    """Most position codes a walk started on one code spans within `steps` steps.
+    """Most position codes a walk started on one code holds within `steps` steps.
 
-    Each walker moves one site per step, so it reaches at most steps + 1
-    sites.  A projected step coins and moves co-located codes only, so a
-    projected walk holds at most one code per reachable site.
+    Each walker moves one site per step, so after t steps it is on one of
+    t + 1 sites.  On an even ring those sites share one parity, so at most
+    d // 2 of them are distinct.  A projected step coins and moves co-located
+    codes only, so a projected walk holds at most one code per reachable site.
     """
-    reach = min(d, steps + 1)
+    reach = min(d if d % 2 else d // 2, steps + 1)
     return reach if projected else reach**n
 
 

@@ -6,7 +6,8 @@ evidence rather than tautology.  Dense matrices limit the reachable sizes;
 tests pick small rings accordingly.  The per-point references (the
 alignment condition, JSON rows of a state, the projected step as a full
 step and a projection) are the scalar forms of what the library computes
-in arrays.
+in arrays.  The coboson norm is summed over integer partitions, against the
+library's power-series recurrence.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, pi
+from math import comb, factorial, pi
 
 import numpy as np
 
@@ -367,3 +368,49 @@ def ghz_condition_closed(arity: int, phi, ghz: GhzSpec, k: int = 0, d: int = 2) 
         phase = complex_parts(phase_factor(phi, comb(arity - zeros, 2)))
         total = complex_add(total, complex_mul(complex_parts(weight * bra * ket), phase))
     return abs(complex(*total))
+
+
+def _partitions(n: int):
+    """Integer partitions of n as descending tuples."""
+    if n == 0:
+        yield ()
+        return
+
+    def rec(remaining, largest):
+        if remaining == 0:
+            yield ()
+            return
+        for part in range(min(remaining, largest), 0, -1):
+            for rest in rec(remaining - part, part):
+                yield (part,) + rest
+
+    yield from rec(n, n)
+
+
+def partition_norm_sq(factors: int, modes: int, quanta: int) -> int:
+    """Squared norm of (sum_{i<modes} a_i^dag^quanta)^factors |0>.
+
+    Expanding the power assigns each of the `factors` identical terms to a
+    mode; grouping assignments by the partition they induce turns the double
+    sum over assignments into a single sum over partitions of `factors`.
+    """
+    if factors < 0 or modes < 1 or quanta < 1:
+        raise ValueError("need factors >= 0, modes >= 1, quanta >= 1")
+    total = 0
+    for partition in _partitions(factors):
+        if len(partition) > modes:
+            continue
+        multiplicity: dict[int, int] = {}
+        for part in partition:
+            multiplicity[part] = multiplicity.get(part, 0) + 1
+        placements = comb(modes, len(partition)) * factorial(len(partition))
+        for count in multiplicity.values():
+            placements //= factorial(count)
+        assignments = factorial(factors)
+        for part in partition:
+            assignments //= factorial(part)
+        weight = assignments * assignments
+        for part in partition:
+            weight *= factorial(quanta * part)
+        total += placements * weight
+    return total

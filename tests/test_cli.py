@@ -10,7 +10,7 @@ import pytest
 
 import borrowalk
 import borrowalk.cli as cli
-from borrowalk import evolution, lattice
+from borrowalk import cobosons, evolution, lattice
 from borrowalk.cli import parse_phase, run
 from borrowalk.evolution import fidelity_bytes, spectrum_bytes
 from borrowalk.spectral import momentum_bytes
@@ -192,6 +192,19 @@ def test_oversized_spectra_and_sweeps_are_refused_before_work(argv, monkeypatch,
     for worker in ("spectrum_norms", "phase_grid", "fidelity_sweep"):
         monkeypatch.setattr(cli, worker, started)
     assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("limit", ["MAX_NORM_BITS", "MAX_SERIES_WORK"])
+def test_oversized_coboson_requests_are_refused_before_work(limit, monkeypatch, capsys):
+    def started(*args, **kwargs):
+        raise AssertionError("a factorial was formed")
+
+    monkeypatch.setattr(cobosons, limit, 8)
+    monkeypatch.setattr(cobosons, "factorial", started)
+    assert run(["coboson", "--n", "2", "--d", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")

@@ -1,17 +1,22 @@
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, log2
 
 import pytest
+from oracles import partition_norm_sq
 
 from borrowalk.cobosons import (
+    MAX_NORM_BITS,
+    MAX_SERIES_WORK,
     CobosonReport,
     b2_closed,
     coboson_norm,
     coboson_report,
     depleted_norm,
+    norm_bits,
     power_sum_norm_sq,
     ratio_approx,
+    require_series_fits,
 )
 
 
@@ -38,10 +43,60 @@ def brute_force_power_sum(factors: int, modes: int, quanta: int) -> int:
 @pytest.mark.parametrize("modes", (1, 2, 4, 7))
 @pytest.mark.parametrize("quanta", (1, 2, 3, 4))
 def test_partition_sum_matches_assignment_sum(factors, modes, quanta):
-    assert power_sum_norm_sq(factors, modes, quanta) == brute_force_power_sum(factors, modes, quanta)
+    norms = power_sum_norm_sq(factors, modes, quanta)
+    assert norms == [partition_norm_sq(n, modes, quanta) for n in range(factors + 1)]
+    assert norms[factors] == brute_force_power_sum(factors, modes, quanta)
+    if factors:
+        assert norms[factors - 1] == brute_force_power_sum(factors - 1, modes, quanta)
+
+
+@pytest.mark.parametrize("modes", (1, 2, 4, 7, 12))
+@pytest.mark.parametrize("quanta", (1, 2, 3, 4))
+def test_series_matches_the_partition_sum(modes, quanta):
+    assert power_sum_norm_sq(8, modes, quanta) == [partition_norm_sq(n, modes, quanta) for n in range(9)]
+
+
+@pytest.mark.parametrize("factors, d, quanta", [(18, 1, 3), (23, 7, 2), (28, 50, 3), (28, 7, 4)])
+def test_series_matches_the_partition_sum_at_benchmark_sizes(factors, d, quanta):
+    norms = power_sum_norm_sq(factors, 2 * d, quanta)
+    for n in (factors - 1, factors):
+        assert norms[n] == partition_norm_sq(n, 2 * d, quanta)
+
+
+def test_norm_bits_bound_the_series():
+    for composites, d, constituents in product((1, 2, 3, 8, 28, 60), (1, 2, 7, 50), (2, 3, 4, 9)):
+        exact = log2(power_sum_norm_sq(composites, 2 * d, constituents)[composites])
+        estimate = norm_bits(composites, d, constituents)
+        assert exact <= estimate + 1e-9
+        assert estimate <= 1.3 * exact + 8
+
+
+def test_series_size_guard_arithmetic():
+    # the benchmark's largest request stays far inside both limits
+    assert norm_bits(28, 50, 4) < 700
+    assert 1000 * 28**2 * norm_bits(28, 50, 4) < MAX_SERIES_WORK
+    require_series_fits(28, 50, 4)
+    # the work limit falls between 400 and 500 trimers on 50 sites
+    require_series_fits(400, 50, 3)
+    assert 500**2 * norm_bits(500, 50, 3) > MAX_SERIES_WORK
+    # a pair of 10**5-particle multiplets is cheap in N, not in bits
+    assert 2**2 * norm_bits(2, 50, 10**5) < MAX_SERIES_WORK
+    assert norm_bits(2, 50, 10**5) > MAX_NORM_BITS
+    # sized from lgamma alone: none of these forms a factorial
+    for composites, d, constituents in [
+        (500, 50, 3),
+        (2, 50, 10**5),
+        (10**9, 3, 3),
+        (2, 3, 10**9),
+        (10**400, 1, 3),
+        (2, 10**60, 2),
+    ]:
+        with pytest.raises(ValueError):
+            require_series_fits(composites, d, constituents)
 
 
 def test_power_sum_rejects_bad_arguments():
+    assert power_sum_norm_sq(0, 2, 3) == [1]
     with pytest.raises(ValueError):
         power_sum_norm_sq(-1, 2, 3)
     with pytest.raises(ValueError):

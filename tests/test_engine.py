@@ -287,8 +287,11 @@ def test_walk_size_arithmetic():
     assert walk_bytes(2, 10) == 10 * 4 * 56 + 16 * (3 + 33 * 16)
     assert walk_bytes(4, 1) == 16 * 56 + 256 * (3 + 33 * 16)
     assert walk_rows(3, 8, 2) == 27
-    assert walk_rows(3, 8, 100) == 512
-    assert walk_rows(4, 100, 1000, projected=True) == 100
+    # on an even ring each walker keeps one parity: d // 2 sites at a time
+    assert walk_rows(3, 8, 100) == 64
+    assert walk_rows(4, 100, 1000, projected=True) == 50
+    assert walk_rows(3, 40, 39) == 8000
+    assert walk_rows(2, 7, 100) == 49
     assert walk_rows(2, 100, 3, projected=True) == 4
     # thirteen co-located walkers: the 33 complex 4**13 tables alone are 33 GiB
     assert 33 * 4**13 * 16 > MAX_WALK_BYTES
@@ -312,6 +315,26 @@ def test_projected_walks_stay_within_the_row_bound(cfg, start):
     for steps in range(1, 61):
         state = projected_step(state)
         assert len(state.codes) <= walk_rows(cfg.particle_count, cfg.site_count, steps, projected=True)
+
+
+@pytest.mark.parametrize(
+    "cfg, start",
+    [
+        (LatticeConfig(2, 6, Fraction(2, 3), free_coin="hadamard"), ((0, 0), "RL")),
+        (LatticeConfig(2, 7, Fraction(2, 3), free_coin="hadamard"), ((0, 0), "RL")),
+        (LatticeConfig(2, 10, Fraction(2, 3), free_coin="hadamard"), ((0, 3), "RL")),
+        (LatticeConfig(3, 4, 1.3, free_coin="hadamard"), ((0, 1, 1), "RLR")),
+        (LatticeConfig(3, 5, Fraction(1, 2), free_coin=(0.4, 0.7, -0.2)), ((0, 0, 2), "RRL")),
+    ],
+)
+def test_full_walks_reach_the_parity_row_bound(cfg, start):
+    state = make_basis_state(cfg, *start)
+    peak = 1
+    for steps in range(1, 13):
+        state = step(state)
+        peak = max(peak, len(state.codes))
+        assert peak <= walk_rows(cfg.particle_count, cfg.site_count, steps)
+    assert peak == walk_rows(cfg.particle_count, cfg.site_count, 12)
 
 
 @pytest.mark.parametrize(
