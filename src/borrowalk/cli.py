@@ -1,14 +1,16 @@
 """Command-line front end.
 
-Every subcommand is a thin wrapper over one library entry point and emits
-either CSV (tables) or JSON (reports).  Output is deterministic: rerunning a
-command with the same flags produces byte-identical bytes, twelve significant
-digits, LF line endings.
+Every subcommand is a thin wrapper over one library entry point.  The four
+table subcommands write CSV, one format string per row at twelve significant
+digits, or JSON records; `evolve`, `check-eigen` and `coboson` write JSON
+only.  Output is deterministic: rerunning a command with the same flags
+produces byte-identical bytes with LF line endings.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from itertools import chain
@@ -26,12 +28,9 @@ from .evolution import (
     walk_rows,
 )
 from .fidelity import fidelity_sweep
-from .jsonout import dumps, records, walk_snapshots
+from .jsonout import records, walk_snapshots
 from .lattice import LatticeConfig, as_coin, make_basis_state, parse_phase, phase_grid, phase_radians
 from .spectral import require_momentum_fits, spectrum_norms, survival_probability
-
-def _significant(value) -> str:
-    return f"{float(value):.12g}"
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -59,17 +58,18 @@ def _write(chunks, path: str | None) -> None:
                 handle.write(chunk)
 
 
-def _emit(lines: list[str], path: str | None) -> None:
-    _write(("\n".join(lines), "\n"), path)
-
-
 def _emit_json(text: str, path: str | None) -> None:
     _write((text, "\n"), path)
 
 
-def _require_json(args) -> None:
-    if args.format != "json":
-        raise ValueError(f"{args.subcommand} emits JSON only")
+def _emit_table(args, keys: tuple[str, ...], csv_row: str, rows) -> None:
+    """Write rows as JSON records, or as CSV: a header of keys, then
+    `csv_row % row` for each row."""
+    if args.format == "json":
+        text = records(keys, rows)
+    else:
+        text = "\n".join([",".join(keys), *(csv_row % row for row in rows)])
+    _write((text, "\n"), args.output)
 
 
 def _config(args, particles: int) -> LatticeConfig:
@@ -82,7 +82,6 @@ def _config(args, particles: int) -> LatticeConfig:
 
 
 def _cmd_evolve(args) -> None:
-    _require_json(args)
     if args.steps < 0:
         raise ValueError("--steps must be non-negative")
     config = _config(args, args.n)
@@ -116,7 +115,6 @@ def _eigen_entry(config: LatticeConfig, arity: int, r: int, tol: float) -> tuple
 
 
 def _cmd_check_eigen(args) -> None:
-    _require_json(args)
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError("--tol must be a finite non-negative number")
     if args.all:
@@ -130,7 +128,7 @@ def _cmd_check_eigen(args) -> None:
         return
     config = _config(args, args.n)
     entry = _eigen_entry(config, args.n, args.r, args.tol)
-    _emit_json(dumps(dict(zip(_EIGEN_KEYS, entry))), args.output)
+    _emit_json(json.dumps(dict(zip(_EIGEN_KEYS, entry)), indent=2), args.output)
 
 
 def _cmd_ghz_scan(args) -> None:
@@ -155,25 +153,14 @@ def _cmd_ghz_scan(args) -> None:
                 point.closed_form_value,
             )
         )
-    if args.format == "json":
-        _emit_json(records(("n", "phi", "k", "sign", "value", "closed_value"), rows), args.output)
-        return
-    lines = ["n,phi,k,sign,value,closed_value"]
-    for n, phi, k, sign, value, closed in rows:
-        lines.append(f"{n},{_significant(phi)},{k},{sign},{_significant(value)},{_significant(closed)}")
-    _emit(lines, args.output)
+    keys = ("n", "phi", "k", "sign", "value", "closed_value")
+    _emit_table(args, keys, "%d,%.12g,%d,%s,%.12g,%.12g", rows)
 
 
 def _cmd_spectrum(args) -> None:
     require_bytes_fit(spectrum_bytes(args.d), f"a spectrum of {args.d} momentum sectors")
     rows = spectrum_norms(args.d, args.phi)
-    if args.format == "json":
-        _emit_json(records(("k_over_d", "abs_lambda_plus", "abs_lambda_minus"), rows), args.output)
-        return
-    lines = ["k_over_d,abs_lambda_plus,abs_lambda_minus"]
-    for k, plus, minus in rows:
-        lines.append(f"{_significant(k)},{_significant(plus)},{_significant(minus)}")
-    _emit(lines, args.output)
+    _emit_table(args, ("k_over_d", "abs_lambda_plus", "abs_lambda_minus"), "%.12g,%.12g,%.12g", rows)
 
 
 def _cmd_survival(args) -> None:
@@ -186,13 +173,7 @@ def _cmd_survival(args) -> None:
         require_momentum_fits(args.d, args.t_max)
     ensemble = remove_particle(bound_state(parent_config, args.n + 1))
     series = survival_probability(ensemble, args.t_max, method=args.method)
-    if args.format == "json":
-        _emit_json(records(("t", "p_B"), series.values), args.output)
-        return
-    lines = ["t,p_B"]
-    for t, p in series.values:
-        lines.append(f"{t},{_significant(p)}")
-    _emit(lines, args.output)
+    _emit_table(args, ("t", "p_B"), "%d,%.12g", series.values)
 
 
 def _cmd_fidelity(args) -> None:
@@ -203,17 +184,10 @@ def _cmd_fidelity(args) -> None:
     require_bytes_fit(fidelity_bytes(grid, len(t_values)), request)
     phases = [args.phi] if args.phi is not None else phase_grid(args.phi_grid)
     rows = fidelity_sweep(phases, t_values)
-    if args.format == "json":
-        _emit_json(records(("phi", "t", "p"), rows), args.output)
-        return
-    lines = ["phi,t,p"]
-    for phi, t, p in rows:
-        lines.append(f"{_significant(phi)},{t},{_significant(p)}")
-    _emit(lines, args.output)
+    _emit_table(args, ("phi", "t", "p"), "%.12g,%d,%.12g", rows)
 
 
 def _cmd_coboson(args) -> None:
-    _require_json(args)
     report = coboson_report(args.n, args.d, args.constituents)
     payload = {
         "N": report.composite_count,
@@ -224,12 +198,13 @@ def _cmd_coboson(args) -> None:
     }
     if args.constituents == 3:
         payload["B_tilde_2"] = str(depleted_norm(args.d))
-    _emit_json(dumps(payload), args.output)
+    _emit_json(json.dumps(payload, indent=2), args.output)
 
 
-def _add_common(parser: argparse.ArgumentParser, default_format: str) -> None:
+def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    """--output, and --format over `formats`, the first being the default."""
     parser.add_argument("--output", "-o", default=None, help="write to this file instead of stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default=default_format)
+    parser.add_argument("--format", choices=formats, default=formats[0])
 
 
 def _add_lattice_flags(parser: argparse.ArgumentParser, default_phi: str = "2pi/3") -> None:
@@ -252,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--positions", default=None, help="comma-separated start sites")
     p.add_argument("--coins", default=None, help="start coins, e.g. R,R,L or RRL")
     p.add_argument("--projected", action="store_true", help="keep only the co-located aligned sector")
-    _add_common(p, "json")
+    _add_common(p, ("json",))
     p.set_defaults(handler=_cmd_evolve)
 
     p = sub.add_parser("check-eigen", help="verify the bound multiplets against the step operator")
@@ -261,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=0, choices=(0, 1), help="uniform (0) or alternating (1) wave")
     p.add_argument("--all", action="store_true", help="report every multiplet the ring admits")
     p.add_argument("--tol", type=float, default=1e-12)
-    _add_common(p, "json")
+    _add_common(p, ("json",))
     p.set_defaults(handler=_cmd_check_eigen)
 
     p = sub.add_parser("ghz-scan", help="grid-scan the collective alignment condition")
@@ -269,13 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi-grid", type=int, default=720, help="phase grid subdivisions of the full circle")
     p.add_argument("--d", type=int, default=2, help="ring size fixing the momentum set")
     p.add_argument("--threshold", type=float, default=1.0 - 1e-9)
-    _add_common(p, "csv")
+    _add_common(p, ("csv", "json"))
     p.set_defaults(handler=_cmd_ghz_scan)
 
     p = sub.add_parser("spectrum", help="moduli of the momentum-block eigenvalues")
     p.add_argument("--d", type=int, default=100)
     p.add_argument("--phi", type=parse_phase, default=parse_phase("2pi/3"))
-    _add_common(p, "csv")
+    _add_common(p, ("csv", "json"))
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("survival", help="bound-sector survival after removing one particle")
@@ -283,21 +258,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, help="particles remaining after removal (2 or 3)")
     p.add_argument("--t-max", type=int, default=200)
     p.add_argument("--method", choices=("direct", "momentum"), default="direct")
-    _add_common(p, "csv")
+    _add_common(p, ("csv", "json"))
     p.set_defaults(handler=_cmd_survival)
 
     p = sub.add_parser("fidelity", help="trimer persistence over phase and time")
     p.add_argument("--t", default="1,10,100,1000", help="comma-separated step counts")
     p.add_argument("--phi", type=parse_phase, default=None, help="single phase instead of a grid")
     p.add_argument("--phi-grid", type=int, default=720)
-    _add_common(p, "csv")
+    _add_common(p, ("csv", "json"))
     p.set_defaults(handler=_cmd_fidelity)
 
     p = sub.add_parser("coboson", help="composite-boson normalization report")
     p.add_argument("--n", type=int, default=2, help="number of compounds")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--constituents", type=int, default=3)
-    _add_common(p, "json")
+    _add_common(p, ("json",))
     p.set_defaults(handler=_cmd_coboson)
 
     return parser

@@ -1,15 +1,18 @@
-"""JSON text equal to json.dumps(obj, indent=2), without its Python encoder.
+"""JSON text equal to json.dumps(obj, indent=2) for tables and walk snapshots.
 
 json.dumps falls back to a pure-Python encoder whenever it indents, which
 costs more than the numbers it prints.  Here a table of records is filled
 into one row template, and each column is formatted by a C-level map:
 float.__repr__ for floats (NaN and Infinity spelled as json spells them),
-int.__repr__ for ints and json's own escaper for strings.  Walk snapshots
-are written straight from the state arrays.
+int.__repr__ for ints and json's own escaper for strings; a column of mixed
+or bool values goes through json.dumps one value at a time.  Walk snapshots
+are written straight from the state arrays.  Single records are small, and
+the CLI writes them with json.dumps itself.
 """
 
 from __future__ import annotations
 
+import json
 from json.encoder import encode_basestring_ascii as _string
 
 from .lattice import PureState, coin_char, coin_tuples, positions
@@ -20,22 +23,6 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _float(value: float) -> str:
     text = float.__repr__(value)
     return _NON_FINITE.get(text, text)
-
-
-def _scalar(value) -> str:
-    if isinstance(value, str):
-        return _string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _column(values) -> list[str]:
@@ -49,30 +36,7 @@ def _column(values) -> list[str]:
         return list(map(int.__repr__, values))
     if kinds == {str}:
         return list(map(_string, values))
-    return list(map(_scalar, values))
-
-
-def _key(key) -> str:
-    if not isinstance(key, str):
-        raise TypeError(f"keys must be str, not {type(key).__name__}")
-    return _string(key)
-
-
-def dumps(obj, level: int = 0) -> str:
-    """json.dumps(obj, indent=2) for str-keyed dicts, lists, tuples and scalars,
-    as nested at `level` indents."""
-    outer = "\n" + "  " * level
-    inner = outer + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join(dumps(v, level + 1) for v in obj) + outer + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        fields = (_key(k) + ": " + dumps(v, level + 1) for k, v in obj.items())
-        return "{" + inner + ("," + inner).join(fields) + outer + "}"
-    return _scalar(obj)
+    return list(map(json.dumps, values))
 
 
 def records(keys, rows) -> str:
@@ -83,7 +47,7 @@ def records(keys, rows) -> str:
         lines = ["{}"] * len(rows)
     else:
         template = "{" + ",".join(
-            "\n    " + _key(k).replace("%", "%%") + ": %s" for k in keys
+            "\n    " + _string(k).replace("%", "%%") + ": %s" for k in keys
         ) + "\n  }"
         lines = [template % texts for texts in zip(*map(_column, zip(*rows)))]
     return "[\n  " + ",\n  ".join(lines) + "\n]"
