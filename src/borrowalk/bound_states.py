@@ -31,6 +31,7 @@ from .lattice import (
     complex_mul,
     complex_parts,
     inner_product,
+    momentum_phases,
     phase_factor,
     turn_table,
 )
@@ -120,13 +121,6 @@ def verify_eigenstate(state: PureState, tol: float = 1e-12) -> EigenReport:
     return EigenReport(residual <= tol, lam, residual)
 
 
-def _momentum_phases(k: int, d: int) -> tuple[complex, complex]:
-    """(exp(-2*pi*i*k/d), exp(2*pi*i*k/d)), the forward and backward hop phases."""
-    if not 0 <= k < d:
-        raise ValueError("momentum index must lie in [0, d)")
-    return phase_factor(Fraction(2 * k, d), -1), phase_factor(Fraction(2 * k, d))
-
-
 @dataclass(frozen=True)
 class ConditionPoint:
     arity: int
@@ -201,7 +195,7 @@ def scan_conditions(
     arities = list(arities)
     require_scan_fits(len(phases), arities)
     spec_of = {"symmetric": GhzSpec.symmetric, "antisymmetric": GhzSpec.antisymmetric}
-    momenta = [_momentum_phases(k, d) for k in k_values]
+    momenta = [momentum_phases(k, d) for k in k_values]
     table = _contact_phases(phases, max(arities, default=0))
     points = []
     for arity in arities:

@@ -58,10 +58,6 @@ def _write(chunks, path: str | None) -> None:
                 handle.write(chunk)
 
 
-def _emit_json(text: str, path: str | None) -> None:
-    _write((text, "\n"), path)
-
-
 def _emit_table(args, keys: tuple[str, ...], csv_row: str, rows) -> None:
     """Write rows as JSON records, or as CSV: a header of keys, then
     `csv_row % row` for each row."""
@@ -124,11 +120,11 @@ def _cmd_check_eigen(args) -> None:
             config = _config(args, arity)
             for r in r_values:
                 entries.append(_eigen_entry(config, arity, r, args.tol))
-        _emit_json(records(_EIGEN_KEYS, entries), args.output)
+        _write((records(_EIGEN_KEYS, entries), "\n"), args.output)
         return
     config = _config(args, args.n)
     entry = _eigen_entry(config, args.n, args.r, args.tol)
-    _emit_json(json.dumps(dict(zip(_EIGEN_KEYS, entry)), indent=2), args.output)
+    _write((json.dumps(dict(zip(_EIGEN_KEYS, entry)), indent=2), "\n"), args.output)
 
 
 def _cmd_ghz_scan(args) -> None:
@@ -198,7 +194,7 @@ def _cmd_coboson(args) -> None:
     }
     if args.constituents == 3:
         payload["B_tilde_2"] = str(depleted_norm(args.d))
-    _emit_json(json.dumps(payload, indent=2), args.output)
+    _write((json.dumps(payload, indent=2), "\n"), args.output)
 
 
 def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:

@@ -39,6 +39,10 @@ _FREE_COINS = ("identity", "hadamard")
 # position codes are int64
 _MAX_CODES = 2**63
 
+# amplitudes below this modulus are dropped after each step, unless a state
+# is given its own prune_epsilon
+_PRUNE_EPSILON = 1e-14
+
 
 def as_coin(value) -> int:
     """Normalize a coin tag (+1/-1, 'R'/'L', 'right'/'left') to +1 or -1."""
@@ -70,6 +74,16 @@ def phase_factor(phi: float | Fraction, m: int = 1) -> complex:
             return -1j
         return cmath.exp(1j * math.pi * float(turns))
     return cmath.exp(1j * (m * phi))
+
+
+def momentum_phases(k: int, d: int) -> tuple[complex, complex]:
+    """(exp(-2*pi*i*k/d), exp(2*pi*i*k/d)), the forward and backward hop phases
+    of momentum k on a ring of d sites."""
+    if d < 1:
+        raise ValueError("ring size d must be at least 1")
+    if not 0 <= k < d:
+        raise ValueError("momentum index must lie in [0, d)")
+    return phase_factor(Fraction(2 * k, d), -1), phase_factor(Fraction(2 * k, d))
 
 
 def turn_table(numerators, denominator: int) -> tuple[np.ndarray, np.ndarray]:
@@ -224,13 +238,13 @@ class PureState:
     per-lattice constants, which the next projected step reads.
     """
 
-    def __init__(self, config: LatticeConfig, amplitudes=None, prune_epsilon: float = 1e-14):
+    def __init__(self, config: LatticeConfig, amplitudes=None, prune_epsilon: float = _PRUNE_EPSILON):
         codes, block = _arrays_from_labels(config, amplitudes or {})
         self._set(config, codes, block, prune_epsilon)
 
     @classmethod
     def from_arrays(
-        cls, config: LatticeConfig, codes, block, prune_epsilon: float = 1e-14, colocated=None
+        cls, config: LatticeConfig, codes, block, prune_epsilon: float = _PRUNE_EPSILON, colocated=None
     ) -> "PureState":
         """State over sorted unique `codes` whose rows of `block` are not all zero."""
         state = cls.__new__(cls)
@@ -382,6 +396,11 @@ class Ensemble:
     member is kept as a (weight, state) pair in `loose`.  `of_labels` builds
     the arrays directly, and `members` lists every member as (weight, state)
     pairs in member order, built on demand.
+
+    The single-label members share one `prune_epsilon`, the one every state
+    rebuilt from the arrays is given: `of_labels` takes it, and
+    `Ensemble(members)` reads it off its single-label members, which must
+    agree on it.
     """
 
     def __init__(self, members):
@@ -389,7 +408,7 @@ class Ensemble:
         if not members:
             raise ValueError("an ensemble needs at least one member")
         cfg = members[0][1].config
-        labels, loose = [], []
+        labels, loose, epsilons = [], [], set()
         for weight, state in members:
             if weight <= 0:
                 raise ValueError("ensemble weights must be positive")
@@ -400,17 +419,22 @@ class Ensemble:
                 amp = complex(state.block[rows[0], cols[0]])
                 if abs(amp.real * amp.real + amp.imag * amp.imag - 1.0) <= 1e-9:
                     labels.append((int(state.codes[rows[0]]), int(cols[0]), weight))
+                    epsilons.add(state.prune_epsilon)
                     continue
             loose.append((weight, state))
+        if len(epsilons) > 1:
+            raise ValueError("single-label ensemble members must share one prune_epsilon")
         codes, cols, weights = zip(*labels) if labels else ((), (), ())
         self._set(cfg, np.array(codes, dtype=np.int64), np.array(cols, dtype=np.int64),
-                  np.array(weights, dtype=float), loose)
+                  np.array(weights, dtype=float), loose, epsilons.pop() if epsilons else _PRUNE_EPSILON)
         self._members = members
 
     @classmethod
-    def of_labels(cls, config: LatticeConfig, codes, cols, weights, prune_epsilon: float = 1e-14) -> "Ensemble":
+    def of_labels(
+        cls, config: LatticeConfig, codes, cols, weights, prune_epsilon: float = _PRUNE_EPSILON
+    ) -> "Ensemble":
         """Mixture of the unit states at position code codes[i] and coin column
-        cols[i], weighted by weights[i]; `members` gives them `prune_epsilon`."""
+        cols[i], weighted by weights[i], each with `prune_epsilon`."""
         codes = np.asarray(codes, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         weights = np.asarray(weights, dtype=float)
@@ -419,12 +443,11 @@ class Ensemble:
         if (weights <= 0).any():
             raise ValueError("ensemble weights must be positive")
         ensemble = cls.__new__(cls)
-        ensemble._set(config, codes, cols, weights, [])
+        ensemble._set(config, codes, cols, weights, [], prune_epsilon)
         ensemble._members = None
-        ensemble._prune_epsilon = prune_epsilon
         return ensemble
 
-    def _set(self, config, codes, cols, weights, loose) -> None:
+    def _set(self, config, codes, cols, weights, loose, prune_epsilon) -> None:
         for array in (codes, cols, weights):
             array.setflags(write=False)
         self.config = config
@@ -432,6 +455,7 @@ class Ensemble:
         self.cols = cols
         self.weights = weights
         self.loose = loose
+        self.prune_epsilon = prune_epsilon
 
     @property
     def members(self) -> list[tuple[float, PureState]]:
@@ -440,7 +464,7 @@ class Ensemble:
             block = np.zeros((count, 1 << self.config.particle_count), dtype=complex)
             block[np.arange(count), self.cols] = 1.0
             self._members = [
-                (weight, PureState.from_arrays(self.config, self.codes[i : i + 1], row, self._prune_epsilon))
+                (weight, PureState.from_arrays(self.config, self.codes[i : i + 1], row, self.prune_epsilon))
                 for i, (weight, row) in enumerate(zip(self.weights.tolist(), block[:, None]))
             ]
         return self._members

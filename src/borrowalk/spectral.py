@@ -28,7 +28,7 @@ from .lattice import (
     colocated_unit,
     complex_mul,
     complex_parts,
-    phase_factor,
+    momentum_phases,
     positions,
     turn_table,
 )
@@ -58,12 +58,9 @@ class MomentumBlock:
 
 
 def momentum_block(k: int, d: int, phi) -> MomentumBlock:
-    if not 0 <= k < d:
-        raise ValueError("momentum index must lie in [0, d)")
+    forward, backward = momentum_phases(k, d)
     check_phase(phi)
     stay, flip = _stay_flip(2, phi)
-    forward = phase_factor(Fraction(2 * k, d), -1)
-    backward = phase_factor(Fraction(2 * k, d))
     matrix = np.array(
         [[stay * forward, flip * forward], [flip * backward, stay * backward]]
     )
@@ -182,7 +179,7 @@ def _orbit_representatives(ensemble: Ensemble) -> list[tuple[float, PureState]]:
     for start, stop in zip(starts.tolist(), [*starts[1:].tolist(), len(codes)]):
         block = np.zeros((1, dim), dtype=complex)
         block[0, cols[start]] = 1.0
-        state = PureState.from_arrays(cfg, codes[start : start + 1], block)
+        state = PureState.from_arrays(cfg, codes[start : start + 1], block, ensemble.prune_epsilon)
         # a running sum, as adding the weights one by one; np.sum pairs them
         representatives.append((float(np.cumsum(weights[start:stop])[-1]), state))
     return representatives

@@ -21,7 +21,7 @@ from math import comb, factorial, pi
 
 import numpy as np
 
-from borrowalk.bound_states import GhzSpec, _momentum_phases
+from borrowalk.bound_states import GhzSpec
 from borrowalk.evolution import interaction_group_matrix, step
 from borrowalk.lattice import (
     LatticeConfig,
@@ -32,6 +32,7 @@ from borrowalk.lattice import (
     complex_add,
     complex_mul,
     complex_parts,
+    momentum_phases,
     phase_factor,
     positions,
 )
@@ -321,7 +322,7 @@ def ghz_condition(arity: int, phi, ghz: GhzSpec, k: int = 0, d: int = 2) -> floa
     """
     if arity != ghz.arity:
         raise ValueError("arity must match the coin state")
-    hops = _momentum_phases(k, d)
+    hops = momentum_phases(k, d)
     matrix = interaction_group_matrix(arity, phi)
     coin = [complex_parts(z) for z in ghz_coin(ghz).tolist()]
     # rows 0 and -1 of matrix @ coin, term by term one float operation at a
@@ -357,7 +358,7 @@ def ghz_condition_closed(arity: int, phi, ghz: GhzSpec, k: int = 0, d: int = 2) 
     """
     if arity != ghz.arity:
         raise ValueError("arity must match the coin state")
-    forward, backward = _momentum_phases(k, d)
+    forward, backward = momentum_phases(k, d)
     total = (0.0, 0.0)
     scale = 1.0 / (1 << arity)
     for zeros in range(arity + 1):

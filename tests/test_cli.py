@@ -337,17 +337,20 @@ def test_finite_flags_at_the_domain_edge_run(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, match",
     [
-        ["spectrum", "--d", "0"],
-        ["spectrum", "--d", "-3"],
-        ["evolve", "--steps", "-1"],
-        ["ghz-scan", "--n-values", ""],
-        ["fidelity", "--t", ""],
+        (["spectrum", "--d", "0"], "ring size"),
+        (["spectrum", "--d", "-3"], "ring size"),
+        (["evolve", "--steps", "-1"], "--steps"),
+        (["ghz-scan", "--n-values", ""], "is empty"),
+        (["fidelity", "--t", ""], "is empty"),
+        (["ghz-scan", "--d", "0"], "ring size"),
     ],
+    ids=[f"argv{i}" for i in range(6)],
 )
-def test_empty_requests_exit_2(argv, capsys):
+def test_empty_requests_exit_2(argv, match, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+    assert match in captured.err

@@ -13,6 +13,7 @@ from borrowalk.lattice import (
     ensemble_overlap,
     inner_product,
     make_basis_state,
+    momentum_phases,
     phase_factor,
     phase_grid,
     phase_radians,
@@ -168,6 +169,14 @@ def test_ensemble_validation():
     ens = Ensemble([(0.25, member), (0.75, make_basis_state(cfg, (1, 1), "LL"))])
     assert sum(w for w, _ in ens.members) == pytest.approx(1.0)
     assert ens.config == cfg
+    assert ens.prune_epsilon == member.prune_epsilon
+    coarse = PureState.from_arrays(cfg, member.codes, member.block, 0.05)
+    assert Ensemble([(0.5, coarse), (0.5, coarse)]).prune_epsilon == 0.05
+    with pytest.raises(ValueError, match="prune_epsilon"):
+        Ensemble([(0.5, member), (0.5, coarse)])
+    # a member of more than one label is walked as it is, with its own
+    loose = PureState(cfg, {((0, 0), (1, 1)): 0.6, ((1, 1), (1, 1)): 0.8}, 0.05)
+    assert Ensemble([(0.5, member), (0.5, loose)]).prune_epsilon == member.prune_epsilon
 
 
 def test_ensemble_overlap_matches_hand_sum():
@@ -196,3 +205,15 @@ def test_state_json_entries_are_sorted_with_fixed_fields():
     assert rows[1]["coins"] == ["R", "L"]
     assert rows[1]["re"] == 0.5
     assert rows[1]["im"] == 0.25
+
+
+def test_momentum_phases():
+    assert momentum_phases(0, 4) == (1, 1)
+    # a quarter turn each way, exact from the Fraction 2k/d
+    assert momentum_phases(1, 4) == (-1j, 1j)
+    with pytest.raises(ValueError, match="ring size"):
+        momentum_phases(0, 0)
+    with pytest.raises(ValueError, match="momentum index"):
+        momentum_phases(4, 4)
+    with pytest.raises(ValueError, match="momentum index"):
+        momentum_phases(-1, 4)

@@ -238,8 +238,11 @@ def _mixed_members(cfg: LatticeConfig) -> Ensemble:
     return Ensemble(members)
 
 
-def _removal_mixture(n: int, coin: str) -> Ensemble:
-    return remove_particle(bound_state(LatticeConfig(n + 1, 7, 1.3, free_coin=coin), n + 1))
+def _removal_mixture(n: int, coin: str, prune_epsilon: float | None = None) -> Ensemble:
+    parent = bound_state(LatticeConfig(n + 1, 7, 1.3, free_coin=coin), n + 1)
+    if prune_epsilon is not None:
+        parent = PureState.from_arrays(parent.config, parent.codes, parent.block, prune_epsilon)
+    return remove_particle(parent)
 
 
 @pytest.mark.parametrize(
@@ -255,8 +258,12 @@ def _removal_mixture(n: int, coin: str) -> Ensemble:
         _removal_mixture(2, "hadamard"),
         _removal_mixture(3, "identity"),
         _removal_mixture(3, "hadamard"),
+        # a coarse prune_epsilon drops amplitudes the default keeps; the
+        # grouped walk must prune as every member would
+        _removal_mixture(2, "identity", prune_epsilon=0.05),
+        Ensemble(_removal_mixture(2, "hadamard", prune_epsilon=0.05).members),
     ],
-    ids=[*(f"mixed-{i}" for i in range(6)), *(f"removal-{i}" for i in range(4))],
+    ids=[*(f"mixed-{i}" for i in range(6)), *(f"removal-{i}" for i in range(4)), "coarse", "coarse-members"],
 )
 def test_grouped_direct_survival_matches_every_member_evolved(ensemble):
     grouped = spectral._survival_direct(ensemble, 30)
