@@ -248,7 +248,7 @@ def remove_particle(state: PureState) -> Ensemble:
     weights = amps.real * amps.real + amps.imag * amps.imag
     # a squared modulus can underflow to zero
     kept = weights != 0.0
-    return Ensemble.of_labels(
+    return Ensemble(
         reduced_cfg,
         sites[kept] * colocated_unit(n - 1, d),
         cols[kept] >> 1,

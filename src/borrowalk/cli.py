@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from itertools import chain
 
@@ -30,7 +31,7 @@ from .evolution import (
 from .fidelity import fidelity_sweep
 from .jsonout import records, walk_snapshots
 from .lattice import LatticeConfig, as_coin, make_basis_state, parse_phase, phase_grid, phase_radians
-from .spectral import require_momentum_fits, spectrum_norms, survival_probability
+from .spectral import require_survival_fits, spectrum_norms, survival_probability
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -163,10 +164,7 @@ def _cmd_survival(args) -> None:
     if args.n not in (2, 3):
         raise ValueError("survival tracks the 2-particle or 3-particle remainder")
     parent_config = _config(args, args.n + 1)
-    if args.method == "direct":
-        require_walk_fits(args.n, walk_rows(args.n, args.d, args.t_max, projected=True))
-    else:
-        require_momentum_fits(args.d, args.t_max)
+    require_survival_fits(args.n, args.d, args.t_max, args.method)
     ensemble = remove_particle(bound_state(parent_config, args.n + 1))
     series = survival_probability(ensemble, args.t_max, method=args.method)
     _emit_table(args, ("t", "p_B"), "%d,%.12g", series.values)
@@ -282,7 +280,9 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         args.handler(args)
-    except ValueError as exc:
+        sys.stdout.flush()
+    except (ValueError, OSError) as exc:
+        # OSError: an unwritable --output, or stdout closed early
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
@@ -292,7 +292,14 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # run has reported the closed stdout; what it still buffers goes to
+        # devnull, or the interpreter's flush at exit prints a second report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -387,75 +387,40 @@ def inner_product(bra: PureState, ket: PureState) -> complex:
 
 
 class Ensemble:
-    """Diagonal mixture of pure states sharing one lattice.
+    """Diagonal mixture of co-located aligned unit states on one lattice, the
+    mixture remove_particle leaves.
 
-    `Ensemble([(weight, state), ...])` takes any members.  A member that
-    holds one label of unit modulus, as every member of a removal mixture
-    does, is kept in three arrays in member order: its position code in
-    `codes`, its coin column in `cols` and its weight in `weights`.  Any other
-    member is kept as a (weight, state) pair in `loose`.  `of_labels` builds
-    the arrays directly, and `members` lists every member as (weight, state)
-    pairs in member order, built on demand.
-
-    The single-label members share one `prune_epsilon`, the one every state
-    rebuilt from the arrays is given: `of_labels` takes it, and
-    `Ensemble(members)` reads it off its single-label members, which must
-    agree on it.
+    Member i is the unit state at position code codes[i], every walker on one
+    site, with coin column cols[i], all-right (0) or all-left (2**n - 1),
+    weighted by weights[i].  Every member prunes with `prune_epsilon`.
+    `members` lists them as (weight, state) pairs in member order, built on
+    demand.
     """
 
-    def __init__(self, members):
-        members = list(members)
-        if not members:
-            raise ValueError("an ensemble needs at least one member")
-        cfg = members[0][1].config
-        labels, loose, epsilons = [], [], set()
-        for weight, state in members:
-            if weight <= 0:
-                raise ValueError("ensemble weights must be positive")
-            if state.config != cfg:
-                raise ValueError("ensemble members must share one lattice")
-            rows, cols = np.nonzero(state.block)
-            if len(rows) == 1:
-                amp = complex(state.block[rows[0], cols[0]])
-                if abs(amp.real * amp.real + amp.imag * amp.imag - 1.0) <= 1e-9:
-                    labels.append((int(state.codes[rows[0]]), int(cols[0]), weight))
-                    epsilons.add(state.prune_epsilon)
-                    continue
-            loose.append((weight, state))
-        if len(epsilons) > 1:
-            raise ValueError("single-label ensemble members must share one prune_epsilon")
-        codes, cols, weights = zip(*labels) if labels else ((), (), ())
-        self._set(cfg, np.array(codes, dtype=np.int64), np.array(cols, dtype=np.int64),
-                  np.array(weights, dtype=float), loose, epsilons.pop() if epsilons else _PRUNE_EPSILON)
-        self._members = members
-
-    @classmethod
-    def of_labels(
-        cls, config: LatticeConfig, codes, cols, weights, prune_epsilon: float = _PRUNE_EPSILON
-    ) -> "Ensemble":
-        """Mixture of the unit states at position code codes[i] and coin column
-        cols[i], weighted by weights[i], each with `prune_epsilon`."""
-        codes = np.asarray(codes, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        weights = np.asarray(weights, dtype=float)
+    def __init__(self, config: LatticeConfig, codes, cols, weights, prune_epsilon: float = _PRUNE_EPSILON):
+        # copies, so freezing them leaves the caller's arrays writable
+        codes = np.array(codes, dtype=np.int64)
+        cols = np.array(cols, dtype=np.int64)
+        weights = np.array(weights, dtype=float)
         if not len(weights):
             raise ValueError("an ensemble needs at least one member")
-        if (weights <= 0).any():
+        if not codes.shape == cols.shape == weights.shape:
+            raise ValueError("an ensemble needs one code, one coin column and one weight per member")
+        if not (weights > 0).all():
             raise ValueError("ensemble weights must be positive")
-        ensemble = cls.__new__(cls)
-        ensemble._set(config, codes, cols, weights, [], prune_epsilon)
-        ensemble._members = None
-        return ensemble
-
-    def _set(self, config, codes, cols, weights, loose, prune_epsilon) -> None:
+        n, d = config.particle_count, config.site_count
+        sites, offsets = np.divmod(codes, colocated_unit(n, d))
+        misplaced = (offsets != 0) | (sites < 0) | (sites >= d) | ((cols != 0) & (cols != (1 << n) - 1))
+        if misplaced.any():
+            raise ValueError("ensemble members must be co-located aligned unit states")
         for array in (codes, cols, weights):
             array.setflags(write=False)
         self.config = config
         self.codes = codes
         self.cols = cols
         self.weights = weights
-        self.loose = loose
         self.prune_epsilon = prune_epsilon
+        self._members = None
 
     @property
     def members(self) -> list[tuple[float, PureState]]:

@@ -4,11 +4,10 @@ Restricted to states with all particles on one site and aligned coins, the
 projected step is invariant under ring translations, so it splits into d
 two-by-two momentum blocks acting on the (all-right, all-left) pair of
 amplitudes.  Post-removal mixtures are evolved either directly or through
-these blocks; the two routes must agree.  The direct route evolves one member
-per orbit of ring translations and, for two or more walkers, of the
-reflection that mirrors positions and flips every coin: there the projected
-step applies the contact coin only, which commutes with flipping every coin,
-so mirrored members share one norm trajectory.
+these blocks; the two routes must agree.  The direct route is a real-space
+walk of one fixed member per orbit of the mixture under ring translations
+and, for two or more walkers, the reflection that mirrors positions and
+flips every coin.
 """
 
 from __future__ import annotations
@@ -19,17 +18,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from .evolution import MAX_POWER_ENTRIES, contact_weights, projected_step, require_bytes_fit
+from .evolution import (
+    MAX_POWER_ENTRIES,
+    contact_weights,
+    projected_step,
+    require_bytes_fit,
+    walk_bytes,
+    walk_rows,
+)
 from .lattice import (
     Ensemble,
     PureState,
     check_phase,
-    code_weights,
     colocated_unit,
     complex_mul,
     complex_parts,
     momentum_phases,
-    positions,
     turn_table,
 )
 
@@ -134,62 +138,33 @@ def survival_probability(ensemble: Ensemble, t_max: int, method: str = "direct")
     return SurvivalSeries(cfg.site_count, cfg.particle_count, cfg.interaction_phase, values)
 
 
-def _orbit_keys(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical (position code, coin column) of the orbit of every
-    single-label member, in member order.
+def _survival_direct(ensemble: Ensemble, t_max: int) -> list[tuple[int, float]]:
+    """Real-space walk of one unit member per orbit of the removal mixture.
 
-    The projected step commutes with ring translations, so a member is keyed
-    by its form shifted to put the first particle at the origin.  For n >= 2
-    it also commutes with the reflection x -> -x that flips every coin: it
-    coins only rows with every walker on one site, with the contact coin,
-    whose entries depend on popcount(a ^ b) alone; the reflection swaps the
-    all-right and the all-left move; pruning acts entry by entry.  The key is
-    then the smaller of the shifted form and its mirror as (positions, coins)
-    tuples: by code, then by coin tuple, which ascends as last ^ column does
-    (a left mover, -1, sorts first).  One walker gets the free coin, which is
-    not reflection-symmetric (Hadamard), so it is keyed by translation alone.
+    The projected step commutes with ring translations.  For n >= 2 it also
+    commutes with the reflection x -> -x that flips every coin: it coins only
+    rows with every walker on one site, with the contact coin, whose entries
+    depend on popcount(a ^ b) alone, and pruning acts entry by entry.  So
+    every member shares the norm trajectory of the all-left unit state at
+    the origin.  One walker gets the free coin, which is not
+    reflection-symmetric (Hadamard), so its all-left and all-right members
+    are walked apart, in that order.  Each walk is weighted by the running
+    sum of its members' weights in member order.
     """
     cfg = ensemble.config
-    n, d = cfg.particle_count, cfg.site_count
-    places = positions(ensemble.codes, cfg)
-    weights = code_weights(n, d)
-    codes = ((places - places[:, :1]) % d) @ weights
-    cols = ensemble.cols
-    if n == 1:
-        return codes, cols
-    mirror = ((places[:, :1] - places) % d) @ weights
-    flipped = cols ^ ((1 << n) - 1)
-    # the mirror's coin column is `flipped`, so its coin order is `cols`
-    smaller = (mirror < codes) | ((mirror == codes) & (cols < flipped))
-    return np.where(smaller, mirror, codes), np.where(smaller, flipped, cols)
-
-
-def _orbit_representatives(ensemble: Ensemble) -> list[tuple[float, PureState]]:
-    """One unit member per orbit of the single-label members, in ascending key
-    order, weighted by the orbit's total weight summed in member order."""
-    cfg = ensemble.config
     dim = 1 << cfg.particle_count
-    codes, cols = _orbit_keys(ensemble)
-    # lexsort is stable, so each orbit keeps its members in member order
-    order = np.lexsort((cols ^ (dim - 1), codes))
-    codes, cols, weights = codes[order], cols[order], ensemble.weights[order]
-    # the first member of every orbit
-    starts = np.flatnonzero(np.diff(codes, prepend=-1) | np.diff(cols, prepend=-1))
-    representatives = []
-    for start, stop in zip(starts.tolist(), [*starts[1:].tolist(), len(codes)]):
-        block = np.zeros((1, dim), dtype=complex)
-        block[0, cols[start]] = 1.0
-        state = PureState.from_arrays(cfg, codes[start : start + 1], block, ensemble.prune_epsilon)
-        # a running sum, as adding the weights one by one; np.sum pairs them
-        representatives.append((float(np.cumsum(weights[start:stop])[-1]), state))
-    return representatives
-
-
-def _survival_direct(ensemble: Ensemble, t_max: int) -> list[tuple[int, float]]:
-    representatives = ensemble.loose + _orbit_representatives(ensemble)
+    weights, left = ensemble.weights, ensemble.cols == dim - 1
+    # (coin column of the walked state, weights of the members it stands for)
+    walks = [(dim - 1, weights[left]), (0, weights[~left])] if cfg.particle_count == 1 else [(dim - 1, weights)]
     totals = [0.0] * (t_max + 1)
-    for weight, state in representatives:
-        current = state
+    for col, members in walks:
+        if not len(members):
+            continue
+        # a running sum, as adding the weights one by one; np.sum pairs them
+        weight = float(np.cumsum(members)[-1])
+        block = np.zeros((1, dim), dtype=complex)
+        block[0, col] = 1.0
+        current = PureState.from_arrays(cfg, np.zeros(1, dtype=np.int64), block, ensemble.prune_epsilon)
         totals[0] += weight * current.norm_sq()
         for t in range(1, t_max + 1):
             current = projected_step(current)
@@ -198,21 +173,14 @@ def _survival_direct(ensemble: Ensemble, t_max: int) -> list[tuple[int, float]]:
 
 
 def _require_uniform_aligned_mixture(ensemble: Ensemble) -> None:
-    """Refuse a mixture other than one unit member of weight 1/(2d) per site
-    and direction, co-located and aligned; the first faulty member names the
-    fault."""
+    """Refuse a mixture other than one member of weight 1/(2d) per site and
+    direction."""
     cfg = ensemble.config
     n, d = cfg.particle_count, cfg.site_count
-    if ensemble.loose:
-        raise ValueError("momentum method expects single-label unit members")
-    sites, offsets = np.divmod(ensemble.codes, colocated_unit(n, d))
-    cols = ensemble.cols
-    misplaced = (offsets != 0) | ((cols != 0) & (cols != (1 << n) - 1))
-    faulty = misplaced | (np.abs(ensemble.weights - 1.0 / (2 * d)) > 1e-9)
-    if faulty.any():
-        if misplaced[faulty.argmax()]:
-            raise ValueError("momentum method expects co-located aligned members")
+    if (np.abs(ensemble.weights - 1.0 / (2 * d)) > 1e-9).any():
         raise ValueError("momentum method expects uniform weights 1/(2d)")
+    sites = ensemble.codes // colocated_unit(n, d)
+    cols = ensemble.cols
     # 2d members on 2d (site, direction) slots: one each when no slot is empty
     if len(cols) != 2 * d or not np.bincount(2 * sites + (cols != 0), minlength=2 * d).all():
         raise ValueError("momentum method expects one member per site and direction")
@@ -237,9 +205,15 @@ def momentum_bytes(d: int, t_max: int) -> int:
     return span * d * 10 * 16 + d * _SITE_BYTES + (t_max + 1) * _ROW_BYTES
 
 
-def require_momentum_fits(d: int, t_max: int) -> None:
-    """Refuse a momentum survival request whose momentum_bytes exceed the limit."""
-    require_bytes_fit(momentum_bytes(d, t_max), f"momentum survival over {d} sites up to t={t_max}")
+def require_survival_fits(n: int, d: int, t_max: int, method: str) -> None:
+    """Refuse a survival request of n walkers over d sites up to t_max that
+    would hold more than the limit: momentum_bytes on the momentum route; on
+    the direct route, its walk and the output rows momentum_bytes counts."""
+    if method == "momentum":
+        need = momentum_bytes(d, t_max)
+    else:
+        need = walk_bytes(n, walk_rows(n, d, t_max, projected=True)) + (t_max + 1) * _ROW_BYTES
+    require_bytes_fit(need, f"{method} survival of {n} walkers over {d} sites up to t={t_max}")
 
 
 def _survival_momentum(ensemble: Ensemble, t_max: int) -> list[tuple[int, float]]:

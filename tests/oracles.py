@@ -27,14 +27,12 @@ from borrowalk.lattice import (
     LatticeConfig,
     PureState,
     coin_char,
-    coin_tuples,
     colocated_unit,
     complex_add,
     complex_mul,
     complex_parts,
     momentum_phases,
     phase_factor,
-    positions,
 )
 
 
@@ -262,30 +260,6 @@ def remove_particle_reference(state: PureState) -> list[tuple[float, PureState]]
         codes = np.array([site * colocated_unit(n - 1, d)], dtype=np.int64)
         members.append((weight, PureState.from_arrays(reduced_cfg, codes, block, state.prune_epsilon)))
     return members
-
-
-def orbit_key_reference(state: PureState):
-    """Canonical (positions, coins) of a single-label unit member's orbit under
-    ring translations and, for two or more walkers, the reflection x -> -x
-    that flips every coin: the smaller of the form shifted to put the first
-    particle at the origin and its mirror.  None for any other member."""
-    if len(state.codes) != 1:
-        return None
-    row = state.block[0].tolist()
-    cols = [col for col, a in enumerate(row) if a]
-    if len(cols) != 1:
-        return None
-    amp = row[cols[0]]
-    if abs(amp.real * amp.real + amp.imag * amp.imag - 1.0) > 1e-9:
-        return None
-    cfg = state.config
-    pos = tuple(positions(state.codes, cfg)[0].tolist())
-    coins = coin_tuples(cfg.particle_count)[cols[0]]
-    d = cfg.site_count
-    key = tuple((x - pos[0]) % d for x in pos), coins
-    if len(pos) == 1:
-        return key
-    return min(key, (tuple((pos[0] - x) % d for x in pos), tuple(-c for c in coins)))
 
 
 def state_json_entries(state: PureState) -> list[dict]:

@@ -39,18 +39,39 @@ def test_parse_phase_lives_in_lattice():
     assert parse_phase is lattice.parse_phase is borrowalk.parse_phase
 
 
+def _module_env() -> dict:
+    """The environment that runs `python -m borrowalk.cli` from this source tree."""
+    src = str(Path(borrowalk.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_module_run_prints_no_runtime_warning():
     # importing the package must not import borrowalk.cli, or `python -m`
     # warns that the module is already in sys.modules
-    src = str(Path(borrowalk.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     result = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "borrowalk.cli", "spectrum", "--d", "4"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_module_env(), timeout=60,
     )
     assert result.returncode == 0
     assert result.stderr == ""
     assert result.stdout.startswith("k_over_d,")
+
+
+def test_closed_stdout_ends_in_one_error_line():
+    # five megabytes of rows, far more than a pipe buffers, so the write
+    # meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "borrowalk.cli", "spectrum", "--d", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
+    )
+    assert proc.stdout.readline().startswith(b"k_over_d,")
+    proc.stdout.close()
+    # the one error line fits the stderr pipe, so the run ends before it is read
+    assert proc.wait(timeout=60) == 2
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -183,18 +204,29 @@ def test_traced_peaks_stay_within_the_size_models(argv, model):
         ["spectrum", "--d", str(10**9)],
         ["fidelity", "--phi-grid", str(10**9)],
         ["fidelity", "--phi-grid", str(10**5), "--t", ",".join(map(str, range(100)))],
+        # a short walk, but 10**11 output rows
+        ["survival", "--n", "2", "--d", "8", "--t-max", "99999999999"],
     ],
 )
 def test_oversized_spectra_and_sweeps_are_refused_before_work(argv, monkeypatch, capsys):
     def started(*args, **kwargs):
         raise AssertionError("work started")
 
-    for worker in ("spectrum_norms", "phase_grid", "fidelity_sweep"):
+    for worker in ("spectrum_norms", "phase_grid", "fidelity_sweep", "remove_particle"):
         monkeypatch.setattr(cli, worker, started)
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-directory", "a-directory"])
+def test_unwritable_output_exits_2(target, tmp_path, capsys):
+    assert run(["spectrum", "--d", "4", "-o", str(tmp_path / target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert str(tmp_path / target) in captured.err
 
 
 @pytest.mark.parametrize("limit", ["MAX_NORM_BITS", "MAX_SERIES_WORK"])

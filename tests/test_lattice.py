@@ -21,7 +21,7 @@ from borrowalk.lattice import (
 
 from borrowalk.evolution import apply_interaction
 
-from oracles import random_sparse_state, state_json_entries
+from oracles import all_labels, random_sparse_state, state_json_entries
 
 
 def test_coin_aliases():
@@ -158,34 +158,39 @@ def test_inner_product_rejects_mismatched_lattices():
 
 def test_ensemble_validation():
     cfg = LatticeConfig(2, 4, Fraction(2, 3))
-    member = make_basis_state(cfg, (0, 0), "RR")
-    with pytest.raises(ValueError):
-        Ensemble([])
-    with pytest.raises(ValueError):
-        Ensemble([(0.0, member)])
-    other = make_basis_state(LatticeConfig(2, 5, Fraction(2, 3)), (0, 0), "RR")
-    with pytest.raises(ValueError):
-        Ensemble([(0.5, member), (0.5, other)])
-    ens = Ensemble([(0.25, member), (0.75, make_basis_state(cfg, (1, 1), "LL"))])
-    assert sum(w for w, _ in ens.members) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="at least one member"):
+        Ensemble(cfg, [], [], [])
+    with pytest.raises(ValueError, match="positive"):
+        Ensemble(cfg, [0], [0], [0.0])
+    with pytest.raises(ValueError, match="one weight per member"):
+        Ensemble(cfg, [0, 5], [0], [0.5, 0.5])
+    # codes 0, 5, 10, 15 put both walkers on one site; columns 0 and 3 are RR and LL
+    for code, col in ((1, 0), (20, 0), (-5, 0), (5, 1), (5, 2)):
+        with pytest.raises(ValueError, match="co-located aligned"):
+            Ensemble(cfg, [0, code], [0, col], [0.5, 0.5])
+    weights = np.array([0.25, 0.75])
+    ens = Ensemble(cfg, [0, 5], [0, 3], weights)
     assert ens.config == cfg
-    assert ens.prune_epsilon == member.prune_epsilon
-    coarse = PureState.from_arrays(cfg, member.codes, member.block, 0.05)
-    assert Ensemble([(0.5, coarse), (0.5, coarse)]).prune_epsilon == 0.05
-    with pytest.raises(ValueError, match="prune_epsilon"):
-        Ensemble([(0.5, member), (0.5, coarse)])
-    # a member of more than one label is walked as it is, with its own
-    loose = PureState(cfg, {((0, 0), (1, 1)): 0.6, ((1, 1), (1, 1)): 0.8}, 0.05)
-    assert Ensemble([(0.5, member), (0.5, loose)]).prune_epsilon == member.prune_epsilon
+    assert weights.flags.writeable and not ens.weights.flags.writeable
+    assert [w for w, _ in ens.members] == [0.25, 0.75]
+    assert [dict(m.amplitudes) for _, m in ens.members] == [{((0, 0), (1, 1)): 1}, {((1, 1), (-1, -1)): 1}]
+    assert ens.prune_epsilon == make_basis_state(cfg, (0, 0), "RR").prune_epsilon
+    coarse = Ensemble(cfg, [0, 5], [0, 3], [0.25, 0.75], 0.05)
+    assert [m.prune_epsilon for _, m in coarse.members] == [0.05, 0.05]
 
 
 def test_ensemble_overlap_matches_hand_sum():
     cfg = LatticeConfig(2, 4, Fraction(2, 3))
     rng = np.random.default_rng(3)
-    members = [(0.3, random_sparse_state(cfg, rng, 5)), (0.7, random_sparse_state(cfg, rng, 5))]
-    probe = random_sparse_state(cfg, rng, 6)
+    members = [
+        (0.3, make_basis_state(cfg, (0, 0), "LL")),
+        (0.5, make_basis_state(cfg, (1, 1), "RR")),
+        (0.2, make_basis_state(cfg, (3, 3), "LL")),
+    ]
+    probe = PureState(cfg, {label: complex(*rng.normal(size=2)) for label in all_labels(cfg)})
     expected = sum(w * abs(inner_product(probe, m)) ** 2 for w, m in members)
-    assert ensemble_overlap(Ensemble(members), probe) == pytest.approx(expected, abs=1e-14)
+    ensemble = Ensemble(cfg, [0, 5, 15], [3, 0, 3], [0.3, 0.5, 0.2])
+    assert ensemble_overlap(ensemble, probe) == pytest.approx(expected, abs=1e-14)
 
 
 def test_state_json_entries_are_sorted_with_fixed_fields():

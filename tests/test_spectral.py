@@ -4,13 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from borrowalk import spectral
 from borrowalk.bound_states import bound_state, remove_particle
 from borrowalk.evolution import MAX_POWER_ENTRIES, contact_weights, projected_step
-from borrowalk.lattice import Ensemble, LatticeConfig, PureState, coin_tuples, make_basis_state, positions
+from borrowalk.lattice import Ensemble, LatticeConfig, PureState, make_basis_state
 from borrowalk.spectral import (
     block_eigenvalues,
     momentum_block,
@@ -19,7 +17,7 @@ from borrowalk.spectral import (
     survival_probability,
 )
 
-from oracles import orbit_key_reference, remove_particle_reference, survival_by_members
+from oracles import remove_particle_reference, survival_by_members
 
 RESONANT = Fraction(2, 3)
 
@@ -221,55 +219,11 @@ def test_survival_routes_agree_on_the_triple_remainder(d):
     assert max(abs(p - q) for (_, p), (_, q) in zip(direct, momentum)) <= 1e-12
 
 
-def _mixed_members(cfg: LatticeConfig) -> Ensemble:
-    """Unit members in four coin patterns on co-located and scattered sites,
-    their mirrors and translates among them, plus a two-label member and a
-    co-located member of norm below one."""
-    n, d = cfg.particle_count, cfg.site_count
-    rng = np.random.default_rng(d * 10 + n)
-    members = []
-    for x in (0, 1, d - 2):
-        for coins in ("R" * n, "L" * n, ("RL" * n)[:n], ("LR" * n)[:n]):
-            for pos in ((x,) * n, [(x + i) % d for i in range(n)]):
-                members.append((float(rng.uniform(0.1, 1.0)), make_basis_state(cfg, pos, coins)))
-    two_labels = {((1,) * n, (1,) * n): 0.6, ((2,) * n, (-1,) * n): 0.8j}
-    members.append((0.5, PureState(cfg, two_labels)))
-    members.append((0.25, PureState(cfg, {((3,) * n, (-1,) * n): 0.5})))
-    return Ensemble(members)
-
-
-def _removal_mixture(n: int, coin: str, prune_epsilon: float | None = None) -> Ensemble:
+def _removal_mixture(n: int, coin, prune_epsilon: float | None = None) -> Ensemble:
     parent = bound_state(LatticeConfig(n + 1, 7, 1.3, free_coin=coin), n + 1)
     if prune_epsilon is not None:
         parent = PureState.from_arrays(parent.config, parent.codes, parent.block, prune_epsilon)
     return remove_particle(parent)
-
-
-@pytest.mark.parametrize(
-    "ensemble",
-    [
-        _mixed_members(LatticeConfig(1, 5, RESONANT, free_coin="hadamard")),
-        _mixed_members(LatticeConfig(1, 6, 1.3, free_coin=(0.4, 0.7, -0.2))),
-        _mixed_members(LatticeConfig(2, 5, RESONANT)),
-        _mixed_members(LatticeConfig(2, 6, 1.3, free_coin="hadamard")),
-        _mixed_members(LatticeConfig(3, 5, Fraction(4, 3), free_coin=(0.4, 0.7, -0.2))),
-        _mixed_members(LatticeConfig(3, 4, 1e-160, free_coin="hadamard")),
-        _removal_mixture(2, "identity"),
-        _removal_mixture(2, "hadamard"),
-        _removal_mixture(3, "identity"),
-        _removal_mixture(3, "hadamard"),
-        # a coarse prune_epsilon drops amplitudes the default keeps; the
-        # grouped walk must prune as every member would
-        _removal_mixture(2, "identity", prune_epsilon=0.05),
-        Ensemble(_removal_mixture(2, "hadamard", prune_epsilon=0.05).members),
-    ],
-    ids=[*(f"mixed-{i}" for i in range(6)), *(f"removal-{i}" for i in range(4)), "coarse", "coarse-members"],
-)
-def test_grouped_direct_survival_matches_every_member_evolved(ensemble):
-    grouped = spectral._survival_direct(ensemble, 30)
-    every = survival_by_members(ensemble, 30)
-    assert [t for t, _ in grouped] == [t for t, _ in every]
-    assert max(abs(p - q) for (_, p), (_, q) in zip(grouped, every)) <= 1e-13
 
 
 def _aligned_state(cfg: LatticeConfig, seed: int) -> PureState:
@@ -283,6 +237,34 @@ def _aligned_state(cfg: LatticeConfig, seed: int) -> PureState:
             labels[((x,) * n, (coin,) * n)] = complex(rng.normal(), rng.normal())
     labels[((1,) * n, (-1,) * n)] = 1e-170j
     return PureState(cfg, labels, prune_epsilon=1e-300)
+
+
+SU2 = (0.4, 0.7, -0.2)
+
+
+@pytest.mark.parametrize(
+    "ensemble",
+    [
+        _removal_mixture(2, "identity"),
+        _removal_mixture(2, "hadamard"),
+        _removal_mixture(3, "identity"),
+        _removal_mixture(3, "hadamard"),
+        # a coarse prune_epsilon drops amplitudes the default keeps; the
+        # grouped walk must prune as every member would
+        _removal_mixture(2, "identity", prune_epsilon=0.05),
+        # one walker gets the free coin, so its two directions are walked apart
+        _removal_mixture(1, "hadamard"),
+        _removal_mixture(1, SU2),
+        remove_particle(_aligned_state(LatticeConfig(2, 6, 2.0, free_coin=SU2), 3)),
+        remove_particle(_aligned_state(LatticeConfig(3, 5, Fraction(4, 3), free_coin="hadamard"), 4)),
+    ],
+    ids=[*(f"removal-{i}" for i in range(4)), "coarse", "single-hadamard", "single-su2", "random-single", "random-pair"],
+)
+def test_grouped_direct_survival_matches_every_member_evolved(ensemble):
+    grouped = spectral._survival_direct(ensemble, 30)
+    every = survival_by_members(ensemble, 30)
+    assert [t for t, _ in grouped] == [t for t, _ in every]
+    assert max(abs(p - q) for (_, p), (_, q) in zip(grouped, every)) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -308,35 +290,11 @@ def test_removal_members_match_the_member_by_member_reference(parent):
         assert member.prune_epsilon == ref_member.prune_epsilon
 
 
-@st.composite
-def _single_label_ensembles(draw):
-    n = draw(st.integers(1, 4))
-    d = draw(st.integers(2, 7))
-    cfg = LatticeConfig(n, d, RESONANT)
-    members = []
-    for _ in range(draw(st.integers(1, 12))):
-        place = draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
-        if draw(st.booleans()):
-            place = [place[0]] * n
-        coins = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
-        # a unit amplitude of any phase keys like amplitude 1
-        amp = cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
-        members.append((draw(st.floats(0.01, 1.0)), PureState(cfg, {(tuple(place), tuple(coins)): amp})))
-    return Ensemble(members)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_single_label_ensembles())
-def test_array_orbit_keys_match_the_reference_keys(ensemble):
-    cfg = ensemble.config
-    codes, cols = spectral._orbit_keys(ensemble)
-    got = list(zip(map(tuple, positions(codes, cfg).tolist()), (coin_tuples(cfg.particle_count)[c] for c in cols)))
-    assert got == [orbit_key_reference(member) for _, member in ensemble.members]
-
-
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_removal_mixture_takes_one_walk(monkeypatch, n):
-    # the all-right and all-left remainders are mirror images of each other
+    # for two or more walkers the all-right and all-left remainders are
+    # mirror images of each other; one walker's free coin is not, so its two
+    # directions take a walk each
     calls = []
 
     def counted(state):
@@ -346,7 +304,7 @@ def test_removal_mixture_takes_one_walk(monkeypatch, n):
     monkeypatch.setattr(spectral, "projected_step", counted)
     ensemble = remove_particle(bound_state(LatticeConfig(n + 1, 9, 1.3), n + 1))
     survival_probability(ensemble, 12, method="direct")
-    assert len(calls) == 12
+    assert len(calls) == (24 if n == 1 else 12)
 
 
 def test_momentum_span_and_bytes_arithmetic():
@@ -406,20 +364,20 @@ def test_survival_rejects_bad_requests():
     hadamard = _pair_remainder(6, coin="hadamard")
     with pytest.raises(ValueError):
         survival_probability(hadamard, 5, method="momentum")
-    cfg = LatticeConfig(2, 6, RESONANT)
-    lopsided = Ensemble(
-        [
-            (0.5, make_basis_state(cfg, (0, 0), "RR")),
-            (0.5, make_basis_state(cfg, (0, 0), "LL")),
-        ]
-    )
+    lopsided = Ensemble(LatticeConfig(2, 6, RESONANT), [0, 0], [0, 3], [0.5, 0.5])
     with pytest.raises(ValueError):
         survival_probability(lopsided, 5, method="momentum")
 
 
-# the uniform removal mixture of the pair on four sites, built member by member
+# the uniform removal mixture of the pair on four sites, member by member as
+# (position code, coin column, weight): LL then RR on each site
 _CFG = LatticeConfig(2, 4, RESONANT)
-_UNIFORM = [(1 / 8, make_basis_state(_CFG, (x, x), c * 2)) for x in range(4) for c in "LR"]
+_UNIFORM = [(5 * x, col, 1 / 8) for x in range(4) for col in (3, 0)]
+
+
+def _mixture(members) -> Ensemble:
+    codes, cols, weights = zip(*members)
+    return Ensemble(_CFG, codes, cols, weights)
 
 
 def _replaced(changes: dict) -> list:
@@ -427,19 +385,12 @@ def _replaced(changes: dict) -> list:
 
 
 MALFORMED = {
-    "two labels": (
-        _replaced({2: (1 / 8, PureState(_CFG, {((1, 1), (1, 1)): 0.6, ((2, 2), (1, 1)): 0.8}))}),
-        "single-label unit",
-    ),
-    "short norm": (_replaced({0: (1 / 8, PureState(_CFG, {((0, 0), (1, 1)): 0.5}))}), "single-label unit"),
-    "scattered": (_replaced({3: (1 / 8, make_basis_state(_CFG, (1, 2), "RR"))}), "co-located aligned"),
-    "unaligned": (_replaced({3: (1 / 8, make_basis_state(_CFG, (1, 1), "RL"))}), "co-located aligned"),
-    "weight": (_replaced({5: (0.2, _UNIFORM[5][1])}), "uniform weights"),
-    # the first faulty member names the fault
-    "weight first": (
-        _replaced({1: (0.2, _UNIFORM[1][1]), 4: (1 / 8, make_basis_state(_CFG, (0, 1), "LL"))}),
-        "uniform weights",
-    ),
+    # refused by the Ensemble constructor: sites (1, 2), and coins RL
+    "scattered": (_replaced({3: (6, 0, 1 / 8)}), "co-located aligned"),
+    "unaligned": (_replaced({3: (5, 1, 1 / 8)}), "co-located aligned"),
+    "weight": (_replaced({5: (10, 0, 0.2)}), "uniform weights"),
+    # a weight fault is named before a slot fault
+    "weight first": (_replaced({1: (0, 0, 0.2), 4: _UNIFORM[0]}), "uniform weights"),
     "missing": (_UNIFORM[:-1], "one member per site"),
     "duplicate": (_replaced({7: _UNIFORM[6]}), "one member per site"),
     "extra": (_UNIFORM + _UNIFORM[:1], "one member per site"),
@@ -449,15 +400,12 @@ MALFORMED = {
 @pytest.mark.parametrize("case", MALFORMED)
 def test_momentum_survival_refuses_malformed_mixtures(case):
     members, message = MALFORMED[case]
-    ensemble = Ensemble(members)
     with pytest.raises(ValueError, match=message):
-        survival_probability(ensemble, 5, method="momentum")
-    # the direct route takes any mixture
-    assert survival_probability(ensemble, 5).values[0][0] == 0
+        survival_probability(_mixture(members), 5, method="momentum")
 
 
 def test_the_uniform_mixture_built_member_by_member_passes():
-    members = Ensemble(_UNIFORM)
+    members = _mixture(_UNIFORM)
     arrays = remove_particle(bound_state(LatticeConfig(3, 4, RESONANT), 3))
     assert survival_probability(members, 9, method="momentum").values == survival_probability(
         arrays, 9, method="momentum"
