@@ -94,7 +94,7 @@ def bound_state(config: LatticeConfig, arity: int, r: int = 0) -> PureState:
     block[:, 0] = wave
     block[:, -1] = sign * wave
     codes = np.arange(d, dtype=np.int64) * colocated_unit(arity, d)
-    return PureState.from_arrays(config, codes, block)
+    return PureState(config, codes, block)
 
 
 @dataclass(frozen=True)
@@ -248,10 +248,4 @@ def remove_particle(state: PureState) -> Ensemble:
     weights = amps.real * amps.real + amps.imag * amps.imag
     # a squared modulus can underflow to zero
     kept = weights != 0.0
-    return Ensemble(
-        reduced_cfg,
-        sites[kept] * colocated_unit(n - 1, d),
-        cols[kept] >> 1,
-        weights[kept],
-        state.prune_epsilon,
-    )
+    return Ensemble(reduced_cfg, sites[kept] * colocated_unit(n - 1, d), cols[kept] >> 1, weights[kept])

@@ -36,6 +36,10 @@ from .lattice import (
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
+# amplitudes below this modulus are dropped after every coin stage and every
+# projected step
+PRUNE_EPSILON = 1e-14
+
 # site offsets of the all-right and the all-left coin column in one step
 _MOVES = np.array([1, -1])
 
@@ -289,7 +293,7 @@ def _site_groups(places) -> tuple[tuple[int, ...], ...]:
 def apply_interaction(state: PureState) -> PureState:
     """Apply the coin stage: every co-located group gets the contact pair
     product, every lone particle gets the configured free coin.  Amplitudes
-    below the state's prune_epsilon are then dropped."""
+    below PRUNE_EPSILON are then dropped."""
     cfg = state.config
     block = state.block
     places = positions(state.codes, cfg)
@@ -303,11 +307,11 @@ def apply_interaction(state: PureState) -> PureState:
         for key, matrix in zip(patterns, matrices):
             rows = np.flatnonzero(keys == key)
             out[rows] = block[rows] if matrix is None else block[rows] @ matrix.T
-    out[np.abs(out) < state.prune_epsilon] = 0
+    out[np.abs(out) < PRUNE_EPSILON] = 0
     kept = out.any(axis=1)
     if not kept.all():
-        return PureState.from_arrays(cfg, state.codes[kept], out[kept], state.prune_epsilon)
-    return PureState.from_arrays(cfg, state.codes, out, state.prune_epsilon)
+        return PureState(cfg, state.codes[kept], out[kept])
+    return PureState(cfg, state.codes, out)
 
 
 def apply_shift(state: PureState) -> PureState:
@@ -321,7 +325,7 @@ def apply_shift(state: PureState) -> PureState:
     codes, row = np.unique(moved @ code_weights(n, d), return_inverse=True)
     out = np.zeros((len(codes), state.block.shape[1]), dtype=complex)
     out[row, cols] = state.block[rows, cols]
-    return PureState.from_arrays(cfg, codes, out, state.prune_epsilon)
+    return PureState(cfg, codes, out)
 
 
 def step(state: PureState) -> PureState:
@@ -345,7 +349,7 @@ def projected_step(state: PureState) -> PureState:
     Only a row with every walker on one site can end co-located and aligned,
     so only those rows are coined: their all-right entry moves one site up,
     their all-left entry one site down, and every other entry is dropped.
-    Entries below the state's prune_epsilon are dropped as in the coin stage.
+    Entries below PRUNE_EPSILON are dropped as in the coin stage.
     The empty state is returned as it is.  Every row of the output is
     co-located, so the output carries its sites and the lattice's constants
     to the next projected step.
@@ -367,7 +371,7 @@ def projected_step(state: PureState) -> PureState:
     block = block.copy() if coin is None else block @ coin
     # columns 0 and last, all right and all left; a view into the fresh block
     ends = block[:, ::last]
-    ends[np.abs(ends) < state.prune_epsilon] = 0
+    ends[np.abs(ends) < PRUNE_EPSILON] = 0
     # zeros are not moved, so no -0.0 is stored
     kept = ends != 0
     targets = (sites[:, None] + _MOVES)[kept] % cfg.site_count
@@ -379,4 +383,4 @@ def projected_step(state: PureState) -> PureState:
     sites = ranked[first]
     out = np.zeros((len(sites), last + 1), dtype=complex)
     out[np.searchsorted(sites, targets), kept.nonzero()[1] * last] = ends[kept]
-    return PureState.from_arrays(cfg, sites * unit, out, state.prune_epsilon, (sites, constants))
+    return PureState(cfg, sites * unit, out, (sites, constants))

@@ -2,10 +2,11 @@
 
 A basis label pairs a position tuple with a coin tuple; coins are +1 for a
 right mover and -1 for a left mover.  A state stores its occupied position
-tuples as sorted integer codes, each with a dense row of coin amplitudes;
-the walk step prunes amplitudes below a configurable magnitude.  Phases
-given as rational multiples of pi are tracked exactly, so resonance points
-such as two thirds of a turn do not pick up decimal round-off.
+tuples as sorted integer codes, each with a dense row of coin amplitudes,
+and reads back as a read-only label mapping; the walk step drops amplitudes
+below one fixed modulus, evolution.PRUNE_EPSILON.  Phases given as rational
+multiples of pi are tracked exactly, so resonance points such as two thirds
+of a turn do not pick up decimal round-off.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ _FREE_COINS = ("identity", "hadamard")
 
 # position codes are int64
 _MAX_CODES = 2**63
-
-# amplitudes below this modulus are dropped after each step, unless a state
-# is given its own prune_epsilon
-_PRUNE_EPSILON = 1e-14
 
 
 def as_coin(value) -> int:
@@ -228,36 +225,21 @@ class PureState:
     holds the 2**n coin amplitudes at codes[r].  Bit n-1-i of a column index
     is 1 when particle i moves left, so column 0 is all-right and the last
     column all-left, the basis of the contact-coin matrices.  Zero amplitudes
-    are not stored and every row holds at least one nonzero amplitude.
-
-    `PureState(config, {(positions, coins): amplitude})` builds a state from
-    labels; `state.amplitudes` reads it back as a read-only mapping.
+    are not stored and every row holds at least one nonzero amplitude.  Both
+    arrays are frozen, not copied.  `state.amplitudes` reads the state back
+    as a read-only {(positions, coins): amplitude} mapping.
 
     `colocated` is None, or, on a state made by evolution.projected_step,
     whose rows are all co-located, the site of every row and the step's
     per-lattice constants, which the next projected step reads.
     """
 
-    def __init__(self, config: LatticeConfig, amplitudes=None, prune_epsilon: float = _PRUNE_EPSILON):
-        codes, block = _arrays_from_labels(config, amplitudes or {})
-        self._set(config, codes, block, prune_epsilon)
-
-    @classmethod
-    def from_arrays(
-        cls, config: LatticeConfig, codes, block, prune_epsilon: float = _PRUNE_EPSILON, colocated=None
-    ) -> "PureState":
-        """State over sorted unique `codes` whose rows of `block` are not all zero."""
-        state = cls.__new__(cls)
-        state._set(config, codes, block, prune_epsilon, colocated)
-        return state
-
-    def _set(self, config, codes, block, prune_epsilon, colocated=None) -> None:
+    def __init__(self, config: LatticeConfig, codes: np.ndarray, block: np.ndarray, colocated=None):
         block.setflags(write=False)
         codes.setflags(write=False)
         self.config = config
         self.codes = codes
         self.block = block
-        self.prune_epsilon = prune_epsilon
         self.colocated = colocated
         self._amplitudes = None
 
@@ -341,37 +323,16 @@ def coin_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _arrays_from_labels(config: LatticeConfig, amplitudes) -> tuple[np.ndarray, np.ndarray]:
-    n, d = config.particle_count, config.site_count
-    items = [(label, complex(a)) for label, a in amplitudes.items() if a != 0]
-    if not items:
-        return np.empty(0, dtype=np.int64), np.empty((0, 1 << n), dtype=complex)
-    try:
-        places = np.array([label[0] for label, _ in items], dtype=np.int64)
-        coins = np.array([label[1] for label, _ in items], dtype=np.int64)
-    except (TypeError, ValueError, IndexError):
-        raise ValueError("a label pairs a position tuple with a coin tuple") from None
-    if places.shape != (len(items), n) or coins.shape != places.shape:
-        raise ValueError("expected one position and one coin per particle")
-    if ((places < 0) | (places >= d)).any():
-        raise ValueError("positions must lie in [0, d)")
-    if not np.isin(coins, (RIGHT, LEFT)).all():
-        raise ValueError("coins must be +1 (right) or -1 (left)")
-    codes = places @ code_weights(n, d)
-    cols = (coins == LEFT) @ (1 << np.arange(n - 1, -1, -1))
-    unique, row = np.unique(codes, return_inverse=True)
-    block = np.zeros((len(unique), 1 << n), dtype=complex)
-    block[row, cols] = [a for _, a in items]
-    return unique, block
-
-
 def make_basis_state(config: LatticeConfig, positions, coins) -> PureState:
     """Unit state concentrated on one label; positions wrap around the ring."""
-    pos = tuple(int(x) % config.site_count for x in positions)
-    cns = tuple(as_coin(c) for c in coins)
-    if len(pos) != config.particle_count or len(cns) != config.particle_count:
+    n, d = config.particle_count, config.site_count
+    pos = [int(x) % d for x in positions]
+    cns = [as_coin(c) for c in coins]
+    if len(pos) != n or len(cns) != n:
         raise ValueError("expected one position and one coin per particle")
-    return PureState(config, {(pos, cns): complex(1.0)})
+    block = np.zeros((1, 1 << n), dtype=complex)
+    block[0, sum(1 << (n - 1 - i) for i, c in enumerate(cns) if c == LEFT)] = 1.0
+    return PureState(config, np.array([pos], dtype=np.int64) @ code_weights(n, d), block)
 
 
 def inner_product(bra: PureState, ket: PureState) -> complex:
@@ -392,12 +353,11 @@ class Ensemble:
 
     Member i is the unit state at position code codes[i], every walker on one
     site, with coin column cols[i], all-right (0) or all-left (2**n - 1),
-    weighted by weights[i].  Every member prunes with `prune_epsilon`.
-    `members` lists them as (weight, state) pairs in member order, built on
-    demand.
+    weighted by weights[i].  `members` lists them as (weight, state) pairs
+    in member order, built on demand.
     """
 
-    def __init__(self, config: LatticeConfig, codes, cols, weights, prune_epsilon: float = _PRUNE_EPSILON):
+    def __init__(self, config: LatticeConfig, codes, cols, weights):
         # copies, so freezing them leaves the caller's arrays writable
         codes = np.array(codes, dtype=np.int64)
         cols = np.array(cols, dtype=np.int64)
@@ -419,7 +379,6 @@ class Ensemble:
         self.codes = codes
         self.cols = cols
         self.weights = weights
-        self.prune_epsilon = prune_epsilon
         self._members = None
 
     @property
@@ -429,7 +388,7 @@ class Ensemble:
             block = np.zeros((count, 1 << self.config.particle_count), dtype=complex)
             block[np.arange(count), self.cols] = 1.0
             self._members = [
-                (weight, PureState.from_arrays(self.config, self.codes[i : i + 1], row, self.prune_epsilon))
+                (weight, PureState(self.config, self.codes[i : i + 1], row))
                 for i, (weight, row) in enumerate(zip(self.weights.tolist(), block[:, None]))
             ]
         return self._members

@@ -79,6 +79,8 @@ def block_eigenvalues(k: int, d: int, phi) -> tuple[complex, complex]:
     persistent eigenvalue +1 on the minus root at k = 0 and -1 on the plus
     root at k = d/2.
     """
+    # refuses a momentum outside [0, d) and an empty ring, as momentum_block does
+    momentum_phases(k, d)
     plus, minus = _block_roots(np.array([k]), d, phi)
     return complex(plus[0]), complex(minus[0])
 
@@ -164,7 +166,7 @@ def _survival_direct(ensemble: Ensemble, t_max: int) -> list[tuple[int, float]]:
         weight = float(np.cumsum(members)[-1])
         block = np.zeros((1, dim), dtype=complex)
         block[0, col] = 1.0
-        current = PureState.from_arrays(cfg, np.zeros(1, dtype=np.int64), block, ensemble.prune_epsilon)
+        current = PureState(cfg, np.zeros(1, dtype=np.int64), block)
         totals[0] += weight * current.norm_sq()
         for t in range(1, t_max + 1):
             current = projected_step(current)

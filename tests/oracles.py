@@ -3,11 +3,11 @@
 Everything here is built from first principles with its own index
 conventions and its own pair embedding, so agreement with the library is
 evidence rather than tautology.  Dense matrices limit the reachable sizes;
-tests pick small rings accordingly.  The per-point references (the
-alignment condition, JSON rows of a state, the projected step as a full
-step and a projection) are the scalar forms of what the library computes
-in arrays.  The coboson norm is summed over integer partitions, against the
-library's power-series recurrence.
+tests pick small rings accordingly.  The per-point references (a state
+written label by label, the alignment condition, JSON rows of a state, the
+projected step as a full step and a projection) are the scalar forms of
+what the library computes in arrays.  The coboson norm is summed over
+integer partitions, against the library's power-series recurrence.
 """
 
 from __future__ import annotations
@@ -109,6 +109,34 @@ def free_coin_oracle(config: LatticeConfig) -> np.ndarray | None:
     )
 
 
+def state_from_labels(config: LatticeConfig, amplitudes) -> PureState:
+    """State of a {(positions, coins): amplitude} mapping, written one label
+    at a time: position code sum_i x_i d**(n-1-i), coin column with bit
+    n-1-i set when particle i moves left.  Zero amplitudes are not stored."""
+    n, d = config.particle_count, config.site_count
+    rows: dict[int, list[complex]] = {}
+    for label, amplitude in amplitudes.items():
+        if amplitude == 0:
+            continue
+        try:
+            places, coins = (tuple(part) for part in label)
+        except (TypeError, ValueError):
+            raise ValueError("a label pairs a position tuple with a coin tuple") from None
+        if len(places) != n or len(coins) != n:
+            raise ValueError("expected one position and one coin per particle")
+        if not all(0 <= x < d for x in places):
+            raise ValueError("positions must lie in [0, d)")
+        if not all(c in (1, -1) for c in coins):
+            raise ValueError("coins must be +1 (right) or -1 (left)")
+        code = col = 0
+        for x, c in zip(places, coins):
+            code, col = code * d + x, 2 * col + (c == -1)
+        rows.setdefault(code, [0j] * (1 << n))[col] = complex(amplitude)
+    codes = sorted(rows)
+    block = np.array([rows[code] for code in codes], dtype=complex).reshape(len(codes), 1 << n)
+    return PureState(config, np.array(codes, dtype=np.int64), block)
+
+
 def label_index(config: LatticeConfig, positions, coins) -> int:
     """Mixed-radix index, particle 0 most significant, digit = 2x + coin bit."""
     idx = 0
@@ -197,7 +225,9 @@ def dense_bound_projector(config: LatticeConfig) -> np.ndarray:
     return np.diag(diag)
 
 
-def random_sparse_state(config: LatticeConfig, rng: np.random.Generator, label_count: int) -> PureState:
+def random_labels(config: LatticeConfig, rng: np.random.Generator, label_count: int) -> dict:
+    """{(positions, coins): amplitude} over label_count distinct random labels,
+    normalized."""
     n, d = config.particle_count, config.site_count
     amplitudes: dict = {}
     while len(amplitudes) < label_count:
@@ -205,8 +235,11 @@ def random_sparse_state(config: LatticeConfig, rng: np.random.Generator, label_c
         coins = tuple(1 if b else -1 for b in rng.integers(0, 2, size=n))
         amplitudes[(pos, coins)] = complex(rng.normal(), rng.normal())
     weight = sum(abs(a) ** 2 for a in amplitudes.values()) ** 0.5
-    amplitudes = {label: amp / weight for label, amp in amplitudes.items()}
-    return PureState(config, amplitudes)
+    return {label: amp / weight for label, amp in amplitudes.items()}
+
+
+def random_sparse_state(config: LatticeConfig, rng: np.random.Generator, label_count: int) -> PureState:
+    return state_from_labels(config, random_labels(config, rng, label_count))
 
 
 def project_bound(state: PureState) -> PureState:
@@ -218,7 +251,7 @@ def project_bound(state: PureState) -> PureState:
     aligned[:, 0] = state.block[rows, 0]
     aligned[:, -1] = state.block[rows, -1]
     kept = aligned.any(axis=1)
-    return PureState.from_arrays(cfg, state.codes[rows][kept], aligned[kept], state.prune_epsilon)
+    return PureState(cfg, state.codes[rows][kept], aligned[kept])
 
 
 def projected_step_reference(state: PureState) -> PureState:
@@ -258,7 +291,7 @@ def remove_particle_reference(state: PureState) -> list[tuple[float, PureState]]
         block = np.zeros((1, dim >> 1), dtype=complex)
         block[0, col >> 1] = 1.0
         codes = np.array([site * colocated_unit(n - 1, d)], dtype=np.int64)
-        members.append((weight, PureState.from_arrays(reduced_cfg, codes, block, state.prune_epsilon)))
+        members.append((weight, PureState(reduced_cfg, codes, block)))
     return members
 
 

@@ -11,9 +11,9 @@ from borrowalk.bound_states import (
     scan_conditions,
     verify_eigenstate,
 )
-from borrowalk.lattice import LatticeConfig, PureState, make_basis_state, phase_grid
+from borrowalk.lattice import LatticeConfig, make_basis_state, phase_grid
 
-from oracles import ghz_coin, ghz_condition, ghz_condition_closed
+from oracles import ghz_coin, ghz_condition, ghz_condition_closed, state_from_labels
 
 RESONANT = Fraction(2, 3)
 
@@ -174,9 +174,9 @@ def test_remove_particle_from_trimer():
 
 def test_remove_particle_requires_collective_labels():
     cfg = LatticeConfig(2, 4, RESONANT)
-    scattered = PureState(cfg, {((0, 1), (1, 1)): 1.0 + 0j})
+    scattered = state_from_labels(cfg, {((0, 1), (1, 1)): 1.0 + 0j})
     with pytest.raises(ValueError):
         remove_particle(scattered)
     single = LatticeConfig(1, 4, RESONANT)
     with pytest.raises(ValueError):
-        remove_particle(PureState(single, {((0,), (1,)): 1.0 + 0j}))
+        remove_particle(state_from_labels(single, {((0,), (1,)): 1.0 + 0j}))

@@ -34,7 +34,9 @@ from oracles import (
     dense_step_matrix,
     project_bound,
     projected_step_reference,
+    random_labels,
     random_sparse_state,
+    state_from_labels,
     state_to_vector,
 )
 
@@ -69,7 +71,7 @@ def _close(a: PureState, b: PureState, tol: float = 1e-12) -> bool:
 
 
 def _relabel(state: PureState, move) -> PureState:
-    return PureState(state.config, {move(pos, cns): a for (pos, cns), a in state.amplitudes.items()})
+    return state_from_labels(state.config, {move(pos, cns): a for (pos, cns), a in state.amplitudes.items()})
 
 
 @engine
@@ -128,11 +130,10 @@ def _assert_same_bits(got: PureState, want: PureState) -> None:
     assert np.array_equal(got.codes, want.codes)
     # the block's float bits, so -0.0 and 0.0 differ as they do in the output
     assert np.array_equal(got.block.view(np.uint64), want.block.view(np.uint64))
-    assert got.prune_epsilon == want.prune_epsilon
 
 
 # resonant, sign-flipping and vanishing contact phases, then any phase; at
-# 1e-160 the contact coin leaks amplitudes far below prune_epsilon into the
+# 1e-160 the contact coin leaks amplitudes far below PRUNE_EPSILON into the
 # aligned columns
 @pytest.mark.parametrize(
     "phases",
@@ -151,7 +152,7 @@ def test_projected_step_is_the_projected_full_step_bit_for_bit(phases, data):
     for _ in range(data.draw(st.integers(0, 3))):
         coins = tuple(int(c) for c in rng.choice((1, -1), size=n))
         labels[((int(rng.integers(d)),) * n, coins)] = complex(rng.normal(), rng.normal())
-    state = PureState(cfg, labels)
+    state = state_from_labels(cfg, labels)
     for _ in range(data.draw(st.integers(1, 30))):
         got = projected_step(state)
         _assert_same_bits(got, projected_step_reference(state))
@@ -171,7 +172,7 @@ def test_projected_walks_of_mirror_images_keep_equal_norms(data):
     for _ in range(data.draw(st.integers(1, 4))):
         cns = tuple(int(c) for c in rng.choice((1, -1), size=n))
         labels[((int(rng.integers(d)),) * n, cns)] = complex(rng.normal(), rng.normal())
-    state = PureState(cfg, labels)
+    state = state_from_labels(cfg, labels)
     mirror = _relabel(state, lambda pos, cns: (tuple(-x % d for x in pos), tuple(-c for c in cns)))
     for _ in range(30):
         state, mirror = projected_step(state), projected_step(mirror)
@@ -181,7 +182,7 @@ def test_projected_walks_of_mirror_images_keep_equal_norms(data):
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_projected_step_of_the_empty_and_the_scattered_state(n):
     cfg = LatticeConfig(n, 5, Fraction(2, 3), free_coin="hadamard")
-    empty = PureState(cfg, {})
+    empty = state_from_labels(cfg, {})
     _assert_same_bits(projected_step(empty), projected_step_reference(empty))
     assert not len(projected_step(empty).codes)
     if n > 1:
@@ -193,7 +194,7 @@ def test_projected_step_of_the_empty_and_the_scattered_state(n):
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_the_empty_state_is_a_fixed_point_of_the_projected_step(n):
     cfg = LatticeConfig(n, 5, 1.3, free_coin="hadamard")
-    empties = [PureState(cfg, {})]
+    empties = [state_from_labels(cfg, {})]
     if n > 1:
         # scattered walkers: the walk dies in one step
         empties.append(projected_step(make_basis_state(cfg, range(n), "R" * n)))
@@ -254,9 +255,12 @@ def test_trajectory_is_the_reference_walk_bit_for_bit(phi):
 @engine
 @given(st.data())
 def test_labels_read_back_unchanged(data):
+    # the library's reader against the oracle's label-by-label writer
     cfg = data.draw(lattices())
-    labels = dict(data.draw(states(cfg)).amplitudes)
-    state = PureState(cfg, labels)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    count = data.draw(st.integers(1, min(8, (2 * cfg.site_count) ** cfg.particle_count)))
+    labels = random_labels(cfg, rng, count)
+    state = state_from_labels(cfg, labels)
     assert state.amplitudes == labels
     assert list(state.amplitudes) == sorted(labels)
     assert len(state.amplitudes) == len(labels)
@@ -264,21 +268,26 @@ def test_labels_read_back_unchanged(data):
 
 def test_labels_are_validated():
     cfg = LatticeConfig(2, 4, Fraction(2, 3))
-    for bad in ({((0, 4), (1, 1)): 1.0}, {((0, 1), (1, 0)): 1.0}, {((0,), (1,)): 1.0}):
-        with pytest.raises(ValueError):
-            PureState(cfg, bad)
+    for bad, message in (
+        ({((0, 4), (1, 1)): 1.0}, "positions"),
+        ({((0, 1), (1, 0)): 1.0}, "coins"),
+        ({((0,), (1,)): 1.0}, "one position and one coin"),
+        ({((0, 1),): 1.0}, "pairs a position tuple"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            state_from_labels(cfg, bad)
 
 
 @pytest.mark.parametrize("coin", ("identity", "hadamard"))
 def test_any_multiple_of_an_eigenvector_is_certified(coin):
     cfg = LatticeConfig(3, 8, Fraction(2, 3), free_coin=coin)
-    twice = PureState(cfg, {k: 2 * a for k, a in bound_state(cfg, 3).amplitudes.items()})
+    twice = state_from_labels(cfg, {k: 2 * a for k, a in bound_state(cfg, 3).amplitudes.items()})
     report = verify_eigenstate(twice)
     assert report.is_eigenvector
     assert abs(report.eigenvalue - 1.0) <= 1e-12
     assert report.residual <= 1e-12
     with pytest.raises(ValueError):
-        verify_eigenstate(PureState(cfg, {}))
+        verify_eigenstate(state_from_labels(cfg, {}))
 
 
 def test_walk_size_arithmetic():

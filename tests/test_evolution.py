@@ -23,6 +23,7 @@ from oracles import (
     label_index,
     project_bound,
     random_sparse_state,
+    state_from_labels,
     state_to_vector,
 )
 
@@ -159,13 +160,12 @@ def test_step_preserves_norm_on_random_states():
 
 def _translated(state: PureState, offset: int) -> PureState:
     d = state.config.site_count
-    return PureState(
+    return state_from_labels(
         state.config,
         {
             (tuple((x + offset) % d for x in pos), coins): amp
             for (pos, coins), amp in state.amplitudes.items()
         },
-        state.prune_epsilon,
     )
 
 
@@ -183,7 +183,7 @@ def test_step_commutes_with_ring_translation():
 
 def test_projection_keeps_only_collective_labels():
     cfg = LatticeConfig(2, 4, Fraction(2, 3))
-    state = PureState(
+    state = state_from_labels(
         cfg,
         {
             ((1, 1), (1, 1)): 0.5 + 0j,

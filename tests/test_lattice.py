@@ -7,7 +7,6 @@ import pytest
 from borrowalk.lattice import (
     Ensemble,
     LatticeConfig,
-    PureState,
     as_coin,
     coin_char,
     ensemble_overlap,
@@ -21,7 +20,7 @@ from borrowalk.lattice import (
 
 from borrowalk.evolution import apply_interaction
 
-from oracles import all_labels, random_sparse_state, state_json_entries
+from oracles import all_labels, random_sparse_state, state_from_labels, state_json_entries
 
 
 def test_coin_aliases():
@@ -122,7 +121,7 @@ def test_prune_amplitudes():
     # zeros are never stored; the coin stage drops what falls below epsilon
     cfg = LatticeConfig(1, 4, Fraction(2, 3))
     amps = {((0,), (1,)): 1.0 + 0j, ((1,), (1,)): 1e-16 + 0j, ((2,), (1,)): 0j}
-    state = PureState(cfg, amps, 1e-14)
+    state = state_from_labels(cfg, amps)
     assert set(state.amplitudes) == {((0,), (1,)), ((1,), (1,))}
     kept = apply_interaction(state).amplitudes
     assert set(kept) == {((0,), (1,))}
@@ -174,9 +173,6 @@ def test_ensemble_validation():
     assert weights.flags.writeable and not ens.weights.flags.writeable
     assert [w for w, _ in ens.members] == [0.25, 0.75]
     assert [dict(m.amplitudes) for _, m in ens.members] == [{((0, 0), (1, 1)): 1}, {((1, 1), (-1, -1)): 1}]
-    assert ens.prune_epsilon == make_basis_state(cfg, (0, 0), "RR").prune_epsilon
-    coarse = Ensemble(cfg, [0, 5], [0, 3], [0.25, 0.75], 0.05)
-    assert [m.prune_epsilon for _, m in coarse.members] == [0.05, 0.05]
 
 
 def test_ensemble_overlap_matches_hand_sum():
@@ -187,7 +183,7 @@ def test_ensemble_overlap_matches_hand_sum():
         (0.5, make_basis_state(cfg, (1, 1), "RR")),
         (0.2, make_basis_state(cfg, (3, 3), "LL")),
     ]
-    probe = PureState(cfg, {label: complex(*rng.normal(size=2)) for label in all_labels(cfg)})
+    probe = state_from_labels(cfg, {label: complex(*rng.normal(size=2)) for label in all_labels(cfg)})
     expected = sum(w * abs(inner_product(probe, m)) ** 2 for w, m in members)
     ensemble = Ensemble(cfg, [0, 5, 15], [3, 0, 3], [0.3, 0.5, 0.2])
     assert ensemble_overlap(ensemble, probe) == pytest.approx(expected, abs=1e-14)
@@ -195,7 +191,7 @@ def test_ensemble_overlap_matches_hand_sum():
 
 def test_state_json_entries_are_sorted_with_fixed_fields():
     cfg = LatticeConfig(2, 4, Fraction(2, 3))
-    state = PureState(
+    state = state_from_labels(
         cfg,
         {
             ((1, 0), (1, -1)): 0.5 + 0.25j,

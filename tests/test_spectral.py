@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from borrowalk import spectral
-from borrowalk.bound_states import bound_state, remove_particle
+from borrowalk import evolution, spectral
+from borrowalk.bound_states import bound_state, remove_particle, scan_conditions
 from borrowalk.evolution import MAX_POWER_ENTRIES, contact_weights, projected_step
-from borrowalk.lattice import Ensemble, LatticeConfig, PureState, make_basis_state
+from borrowalk.lattice import Ensemble, LatticeConfig, PureState, make_basis_state, phase_grid
 from borrowalk.spectral import (
     block_eigenvalues,
     momentum_block,
@@ -17,7 +17,7 @@ from borrowalk.spectral import (
     survival_probability,
 )
 
-from oracles import remove_particle_reference, survival_by_members
+from oracles import remove_particle_reference, state_from_labels, survival_by_members
 
 RESONANT = Fraction(2, 3)
 
@@ -69,6 +69,16 @@ def test_block_eigenvalues_solve_the_blocks():
             assert abs(lam * lam - trace * lam + determinant) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "k, d, message",
+    [(8, 8, "momentum index"), (-1, 8, "momentum index"), (3, 0, "ring size"), (0, -2, "ring size")],
+)
+def test_block_eigenvalues_refuse_the_momenta_momentum_block_refuses(k, d, message):
+    for solve in (block_eigenvalues, momentum_block):
+        with pytest.raises(ValueError, match=message):
+            solve(k, d, RESONANT)
+
+
 @pytest.mark.parametrize("phi", [1e-160, 5e-324])
 def test_block_eigenvalues_where_the_flip_amplitude_vanishes(phi):
     d = 7
@@ -115,6 +125,29 @@ def test_unit_modulus_count_follows_ring_parity():
 
     assert unit_count(10) == 2
     assert unit_count(9) == 1
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_aligned_groups_bind_only_in_ghz_coin_states(m):
+    # the scan's hits are exactly the (phi, k) where the aligned sector of m
+    # walkers has a unit-modulus eigenvalue, and there the eigenvector is
+    # (1, +-1)/sqrt(2) on (all right, all left), the branch the scan names
+    d = 6
+    grid = phase_grid(720)
+    scan = scan_conditions([m], grid, k_values=range(d), d=d)
+    hits = {(p.phase, p.momentum_index, (p.ghz.gamma / p.ghz.beta).real) for p in scan}
+    bound = set()
+    for phi in grid:
+        values, vectors = np.linalg.eig(spectral._pair_blocks(d, *spectral._stay_flip(m, phi)))
+        for k, j in zip(*np.nonzero(np.abs(values) >= 1.0 - 1e-9)):
+            beta, gamma = vectors[k, :, j]
+            assert abs(abs(beta) - abs(gamma)) <= 1e-9
+            sign = 1.0 if (gamma / beta).real > 0 else -1.0
+            assert abs(gamma / beta - sign) <= 1e-9
+            bound.add((phi, int(k), sign))
+    assert hits == bound
+    assert {k for _, k, _ in hits} <= {0, d // 2}
+    assert len(hits) == {2: 2 * len(grid), 3: 4, 4: 4}.get(m, 0)
 
 
 def test_spectrum_norms_rows():
@@ -219,16 +252,14 @@ def test_survival_routes_agree_on_the_triple_remainder(d):
     assert max(abs(p - q) for (_, p), (_, q) in zip(direct, momentum)) <= 1e-12
 
 
-def _removal_mixture(n: int, coin, prune_epsilon: float | None = None) -> Ensemble:
-    parent = bound_state(LatticeConfig(n + 1, 7, 1.3, free_coin=coin), n + 1)
-    if prune_epsilon is not None:
-        parent = PureState.from_arrays(parent.config, parent.codes, parent.block, prune_epsilon)
-    return remove_particle(parent)
+def _removal_mixture(n: int, coin) -> Ensemble:
+    return remove_particle(bound_state(LatticeConfig(n + 1, 7, 1.3, free_coin=coin), n + 1))
 
 
 def _aligned_state(cfg: LatticeConfig, seed: int) -> PureState:
     """Random amplitudes on every co-located aligned label, one of them so
-    small that its squared modulus underflows to zero."""
+    small that its squared modulus underflows to zero; walks of it are meant
+    to prune at 1e-300."""
     n, d = cfg.particle_count, cfg.site_count
     rng = np.random.default_rng(seed)
     labels = {}
@@ -236,31 +267,34 @@ def _aligned_state(cfg: LatticeConfig, seed: int) -> PureState:
         for coin in (1, -1):
             labels[((x,) * n, (coin,) * n)] = complex(rng.normal(), rng.normal())
     labels[((1,) * n, (-1,) * n)] = 1e-170j
-    return PureState(cfg, labels, prune_epsilon=1e-300)
+    return state_from_labels(cfg, labels)
 
 
 SU2 = (0.4, 0.7, -0.2)
 
 
+# (ensemble, pruning modulus of the walks; None keeps PRUNE_EPSILON)
 @pytest.mark.parametrize(
-    "ensemble",
+    "ensemble, prune_epsilon",
     [
-        _removal_mixture(2, "identity"),
-        _removal_mixture(2, "hadamard"),
-        _removal_mixture(3, "identity"),
-        _removal_mixture(3, "hadamard"),
-        # a coarse prune_epsilon drops amplitudes the default keeps; the
-        # grouped walk must prune as every member would
-        _removal_mixture(2, "identity", prune_epsilon=0.05),
+        (_removal_mixture(2, "identity"), None),
+        (_removal_mixture(2, "hadamard"), None),
+        (_removal_mixture(3, "identity"), None),
+        (_removal_mixture(3, "hadamard"), None),
+        # a coarse modulus drops amplitudes the default keeps; the grouped
+        # walk must prune as every member would
+        (_removal_mixture(2, "identity"), 0.05),
         # one walker gets the free coin, so its two directions are walked apart
-        _removal_mixture(1, "hadamard"),
-        _removal_mixture(1, SU2),
-        remove_particle(_aligned_state(LatticeConfig(2, 6, 2.0, free_coin=SU2), 3)),
-        remove_particle(_aligned_state(LatticeConfig(3, 5, Fraction(4, 3), free_coin="hadamard"), 4)),
+        (_removal_mixture(1, "hadamard"), None),
+        (_removal_mixture(1, SU2), None),
+        (remove_particle(_aligned_state(LatticeConfig(2, 6, 2.0, free_coin=SU2), 3)), 1e-300),
+        (remove_particle(_aligned_state(LatticeConfig(3, 5, Fraction(4, 3), free_coin="hadamard"), 4)), 1e-300),
     ],
     ids=[*(f"removal-{i}" for i in range(4)), "coarse", "single-hadamard", "single-su2", "random-single", "random-pair"],
 )
-def test_grouped_direct_survival_matches_every_member_evolved(ensemble):
+def test_grouped_direct_survival_matches_every_member_evolved(monkeypatch, ensemble, prune_epsilon):
+    if prune_epsilon is not None:
+        monkeypatch.setattr(evolution, "PRUNE_EPSILON", prune_epsilon)
     grouped = spectral._survival_direct(ensemble, 30)
     every = survival_by_members(ensemble, 30)
     assert [t for t, _ in grouped] == [t for t, _ in every]
@@ -287,7 +321,6 @@ def test_removal_members_match_the_member_by_member_reference(parent):
         assert member.config == ref_member.config
         assert np.array_equal(member.codes, ref_member.codes)
         assert np.array_equal(member.block.view(np.uint64), ref_member.block.view(np.uint64))
-        assert member.prune_epsilon == ref_member.prune_epsilon
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
