@@ -175,15 +175,15 @@ def scan_conditions(
     arities,
     phases,
     k_values=(0, 1),
-    signs=("symmetric", "antisymmetric"),
     d: int = 2,
     threshold: float = 1.0 - 1e-9,
 ) -> list[ConditionPoint]:
     """Grid search for parameter points where the alignment condition reaches one.
 
-    Returns every grid point whose condition value meets the threshold,
-    together with the sector-expansion value at the same point.  No
-    contact-coin matrix is formed: the coin maps beta|R..R> + gamma|L..L> to
+    Returns every grid point and branch sign, symmetric then antisymmetric,
+    whose condition value meets the threshold, together with the
+    sector-expansion value at the same point.  No contact-coin matrix is
+    formed: the coin maps beta|R..R> + gamma|L..L> to
     (c_0 beta + c_m gamma)|R..R> + (c_m beta + c_0 gamma)|L..L>, and (c_0, c_m)
     come from one contact_parts pass over the whole grid per arity.  The
     sector expansion of every hit of one arity, branch sign and momentum is
@@ -194,7 +194,6 @@ def scan_conditions(
     """
     arities = list(arities)
     require_scan_fits(len(phases), arities)
-    spec_of = {"symmetric": GhzSpec.symmetric, "antisymmetric": GhzSpec.antisymmetric}
     momenta = [momentum_phases(k, d) for k in k_values]
     table = _contact_phases(phases, max(arities, default=0))
     points = []
@@ -202,8 +201,7 @@ def scan_conditions(
         re_table, im_table = (part[:, : arity + 1] for part in table)
         re, im = contact_parts(arity, re_table, im_table, (0, arity))
         stay, flip = (re[:, 0], im[:, 0]), (re[:, 1], im[:, 1])
-        for name in signs:
-            ghz = spec_of[name](arity)
+        for ghz in (GhzSpec.symmetric(arity), GhzSpec.antisymmetric(arity)):
             beta, gamma = complex_parts(ghz.beta), complex_parts(ghz.gamma)
             top = complex_add(complex_mul(stay, beta), complex_mul(flip, gamma))
             bottom = complex_add(complex_mul(flip, beta), complex_mul(stay, gamma))

@@ -27,6 +27,7 @@ from .evolution import (
     spectrum_bytes,
     step,
     walk_rows,
+    walk_text_bytes,
 )
 from .fidelity import fidelity_sweep
 from .jsonout import records, walk_snapshots
@@ -82,7 +83,10 @@ def _cmd_evolve(args) -> None:
     if args.steps < 0:
         raise ValueError("--steps must be non-negative")
     config = _config(args, args.n)
-    require_walk_fits(args.n, walk_rows(args.n, args.d, args.steps, args.projected))
+    rows = walk_rows(args.n, args.d, args.steps, args.projected)
+    require_walk_fits(args.n, rows)
+    text = walk_text_bytes(args.n, rows, args.steps, args.projected)
+    require_bytes_fit(text, f"the JSON text of {args.n} walkers over {args.steps} steps")
     positions = _parse_int_list(args.positions) if args.positions else [0] * args.n
     coins = _parse_coin_list(args.coins) if args.coins else (1,) * args.n
     state = make_basis_state(config, positions, coins)

@@ -69,9 +69,11 @@ _SPECTRUM_SECTOR_BYTES = 1024
 _FIDELITY_PHASE_BYTES = 256
 _FIDELITY_ROW_BYTES = 512
 
-# Entries (span x d) of each stacked array of momentum-block powers in the
-# momentum survival route; keeps its working set small whatever t_max is.
-MAX_POWER_ENTRIES = 1 << 15
+# walk_text_bytes per amplitude entry and per walker in it, rounded up from
+# the JSON text of evolve requests: 165 to 263 bytes an entry for 1 to 4
+# walkers, about 33 more per walker
+_TEXT_ENTRY_BYTES = 128
+_TEXT_WALKER_BYTES = 64
 
 
 @lru_cache(maxsize=None)
@@ -150,11 +152,11 @@ def interaction_group_matrix(m: int, phi) -> np.ndarray:
     return matrix
 
 
-def free_coin_matrix(config: LatticeConfig) -> np.ndarray | None:
-    """2x2 coin for particles alone at their site; None when it is the identity."""
+def free_coin_matrix(config: LatticeConfig) -> np.ndarray:
+    """2x2 coin for particles alone at their site."""
     coin = config.free_coin
     if coin == "identity":
-        return None
+        return np.eye(2, dtype=complex)
     if coin == "hadamard":
         return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _SQRT_HALF
     theta, xi, zeta = coin
@@ -179,6 +181,14 @@ def walk_bytes(n: int, rows: int) -> int:
     """
     dim = 1 << n
     return rows * dim * (3 * 16 + 8) + dim * dim * (3 + (1 + _PATTERN_CACHE) * 16)
+
+
+def walk_text_bytes(n: int, rows: int, steps: int, projected: bool = False) -> int:
+    """Bytes of JSON text a walk of n walkers writes at most over `steps`
+    steps while it spans `rows` position codes: steps + 1 snapshots of rows
+    times 2**n coin columns, or 2 (all right, all left) on a projected walk."""
+    columns = 2 if projected else 1 << n
+    return (steps + 1) * rows * columns * (_TEXT_ENTRY_BYTES + n * _TEXT_WALKER_BYTES)
 
 
 def scan_bytes(grid: int, arities) -> int:
@@ -260,19 +270,13 @@ def _pattern_keys(places: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=_PATTERN_CACHE)
-def _coin_matrix(config: LatticeConfig, groups: tuple[tuple[int, ...], ...]) -> np.ndarray | None:
+def _coin_matrix(config: LatticeConfig, groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """Coin-stage matrix on all 2**n coins for walkers grouped by site: the
     contact coin on every co-located group, the free coin on every lone
-    walker.  None when that is the identity."""
+    walker."""
     n = config.particle_count
     free = free_coin_matrix(config)
-    if free is None and all(len(g) == 1 for g in groups):
-        return None
-    factors = [
-        interaction_group_matrix(len(g), config.interaction_phase) if len(g) > 1
-        else (free if free is not None else np.eye(2))
-        for g in groups
-    ]
+    factors = [interaction_group_matrix(len(g), config.interaction_phase) if len(g) > 1 else free for g in groups]
     # the Kronecker product orders the coin bits by group; put them back in
     # particle order, row bits and column bits alike
     order = np.argsort([i for g in groups for i in g])
@@ -301,12 +305,12 @@ def apply_interaction(state: PureState) -> PureState:
     patterns, first = np.unique(keys, return_index=True)
     matrices = [_coin_matrix(cfg, _site_groups(row)) for row in places[first].tolist()]
     if len(patterns) == 1:
-        out = block.copy() if matrices[0] is None else block @ matrices[0].T
+        out = block @ matrices[0].T
     else:
         out = np.empty_like(block)
         for key, matrix in zip(patterns, matrices):
             rows = np.flatnonzero(keys == key)
-            out[rows] = block[rows] if matrix is None else block[rows] @ matrix.T
+            out[rows] = block[rows] @ matrix.T
     out[np.abs(out) < PRUNE_EPSILON] = 0
     kept = out.any(axis=1)
     if not kept.all():
@@ -334,13 +338,12 @@ def step(state: PureState) -> PureState:
 
 
 @lru_cache(maxsize=_PATTERN_CACHE)
-def _projection(config: LatticeConfig) -> tuple[int, np.ndarray | None, int]:
+def _projection(config: LatticeConfig) -> tuple[int, np.ndarray, int]:
     """What the projected step needs of its lattice: the code of every walker
-    on site 1, the transposed contact coin of all n walkers on one site (None
-    for the identity) and the all-left column."""
+    on site 1, the transposed coin of all n walkers on one site and the
+    all-left column."""
     n = config.particle_count
-    matrix = _coin_matrix(config, (tuple(range(n)),))
-    return colocated_unit(n, config.site_count), None if matrix is None else matrix.T, (1 << n) - 1
+    return colocated_unit(n, config.site_count), _coin_matrix(config, (tuple(range(n)),)).T, (1 << n) - 1
 
 
 def projected_step(state: PureState) -> PureState:
@@ -367,9 +370,9 @@ def projected_step(state: PureState) -> PureState:
     else:
         sites, constants = state.colocated
     unit, coin, last = constants
-    # pruning below writes in place, so the block must be a fresh one
-    block = block.copy() if coin is None else block @ coin
-    # columns 0 and last, all right and all left; a view into the fresh block
+    block = block @ coin
+    # columns 0 and last, all right and all left: a view into the fresh
+    # block, which the pruning below writes in place
     ends = block[:, ::last]
     ends[np.abs(ends) < PRUNE_EPSILON] = 0
     # zeros are not moved, so no -0.0 is stored

@@ -3,10 +3,10 @@
 A basis label pairs a position tuple with a coin tuple; coins are +1 for a
 right mover and -1 for a left mover.  A state stores its occupied position
 tuples as sorted integer codes, each with a dense row of coin amplitudes,
-and reads back as a read-only label mapping; the walk step drops amplitudes
-below one fixed modulus, evolution.PRUNE_EPSILON.  Phases given as rational
-multiples of pi are tracked exactly, so resonance points such as two thirds
-of a turn do not pick up decimal round-off.
+and reads back as arrays only; the walk step drops amplitudes below one
+fixed modulus, evolution.PRUNE_EPSILON.  Phases given as rational multiples
+of pi are tracked exactly, so resonance points such as two thirds of a turn
+do not pick up decimal round-off.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -23,8 +22,6 @@ import numpy as np
 
 RIGHT = 1
 LEFT = -1
-
-Label = tuple[tuple[int, ...], tuple[int, ...]]
 
 _COIN_ALIASES = {
     RIGHT: RIGHT,
@@ -226,8 +223,8 @@ class PureState:
     is 1 when particle i moves left, so column 0 is all-right and the last
     column all-left, the basis of the contact-coin matrices.  Zero amplitudes
     are not stored and every row holds at least one nonzero amplitude.  Both
-    arrays are frozen, not copied.  `state.amplitudes` reads the state back
-    as a read-only {(positions, coins): amplitude} mapping.
+    arrays are frozen, not copied.  `state.amplitudes` is the flat array of
+    stored amplitudes in label order, block[entries()].
 
     `colocated` is None, or, on a state made by evolution.projected_step,
     whose rows are all co-located, the site of every row and the step's
@@ -241,13 +238,10 @@ class PureState:
         self.codes = codes
         self.block = block
         self.colocated = colocated
-        self._amplitudes = None
 
     @property
-    def amplitudes(self) -> Mapping:
-        if self._amplitudes is None:
-            self._amplitudes = _Amplitudes(self)
-        return self._amplitudes
+    def amplitudes(self) -> np.ndarray:
+        return self.block[self.entries()]
 
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
         """(row, column) of every stored amplitude in label order: codes
@@ -260,39 +254,6 @@ class PureState:
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
-
-
-class _Amplitudes(Mapping):
-    """Read-only {(positions, coins): amplitude} view in label order.
-
-    Its length counts the stored amplitudes without building the labels.
-    """
-
-    def __init__(self, state: PureState):
-        self._state = state
-        self._labels = None
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._state.block))
-
-    def _dict(self) -> dict[Label, complex]:
-        if self._labels is None:
-            state = self._state
-            rows, cols = state.entries()
-            places = [tuple(p) for p in positions(state.codes, state.config).tolist()]
-            coins = coin_tuples(state.config.particle_count)
-            labels = [(places[r], coins[c]) for r, c in zip(rows.tolist(), cols.tolist())]
-            self._labels = dict(zip(labels, state.block[rows, cols].tolist()))
-        return self._labels
-
-    def __getitem__(self, label: Label) -> complex:
-        return self._dict()[label]
-
-    def __iter__(self):
-        return iter(self._dict())
-
-    def __repr__(self) -> str:
-        return repr(self._dict())
 
 
 @lru_cache(maxsize=64)

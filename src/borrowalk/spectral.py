@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from .evolution import (
-    MAX_POWER_ENTRIES,
     contact_weights,
     projected_step,
     require_bytes_fit,
@@ -37,6 +36,10 @@ from .lattice import (
     turn_table,
 )
 
+# Entries (span x d) of each stacked array of momentum-block powers in the
+# momentum survival route; keeps its working set small whatever t_max is.
+MAX_POWER_ENTRIES = 1 << 15
+
 # momentum_bytes per site (the two mixture members and the block entries)
 # and per output row (JSON text is the larger format), rounded up from
 # traced peaks of survival requests: 1.4 KiB per site for the pair, 1.7 KiB
@@ -47,8 +50,9 @@ _ROW_BYTES = 512
 
 def _stay_flip(m: int, phi) -> tuple[complex, complex]:
     """(c_0, c_m) of the contact coin: the amplitudes for an aligned group of
-    m to keep its joint direction and to reverse it."""
-    weights = contact_weights(m, phi)
+    m to keep its joint direction and to reverse it.  Refuses a phase outside
+    (0, 2*pi)."""
+    weights = contact_weights(m, check_phase(phi))
     return complex(weights[0]), complex(weights[-1])
 
 
@@ -62,12 +66,10 @@ class MomentumBlock:
 
 
 def momentum_block(k: int, d: int, phi) -> MomentumBlock:
-    forward, backward = momentum_phases(k, d)
-    check_phase(phi)
-    stay, flip = _stay_flip(2, phi)
-    matrix = np.array(
-        [[stay * forward, flip * forward], [flip * backward, stay * backward]]
-    )
+    # refuses a momentum outside [0, d) and an empty ring
+    momentum_phases(k, d)
+    entries = _pair_blocks(np.array([k]), d, *_stay_flip(2, phi))
+    matrix = np.stack(entries, axis=-1).reshape(2, 2)
     matrix.setflags(write=False)
     return MomentumBlock(k, d, matrix)
 
@@ -81,7 +83,7 @@ def block_eigenvalues(k: int, d: int, phi) -> tuple[complex, complex]:
     """
     # refuses a momentum outside [0, d) and an empty ring, as momentum_block does
     momentum_phases(k, d)
-    plus, minus = _block_roots(np.array([k]), d, phi)
+    plus, minus = _block_roots(np.array([k]), d, *_stay_flip(2, phi))
     return complex(plus[0]), complex(minus[0])
 
 
@@ -90,23 +92,22 @@ def spectrum_norms(d: int, phi) -> list[tuple[float, float, float]]:
     equal to block_eigenvalues at every k bit for bit."""
     if d < 1:
         raise ValueError("ring size d must be at least 1")
-    plus, minus = _block_roots(np.arange(d), d, phi)
+    plus, minus = _block_roots(np.arange(d), d, *_stay_flip(2, phi))
     # np.hypot, not np.abs, is what abs() of a Python complex computes
     plus = np.hypot(plus.real, plus.imag)
     minus = np.hypot(minus.real, minus.imag)
     return list(zip((np.arange(d) / d).tolist(), plus.tolist(), minus.tolist()))
 
 
-def _block_roots(k: np.ndarray, d: int, phi) -> tuple[np.ndarray, np.ndarray]:
+def _block_roots(k: np.ndarray, d: int, stay: complex, flip: complex) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues stay*cos(t) +- root of the momentum blocks k, t = 2*pi*k/d,
-    with root = sqrt(flip**2 - (stay*sin(t))**2) on the branch where
-    root/flip has a non-negative real part.
+    of the aligned pair (stay, flip), with root = sqrt(flip**2 -
+    (stay*sin(t))**2) on the branch where root/flip has a non-negative real
+    part.
 
     No ratio of the amplitudes is formed, so a flip amplitude that is tiny or
     rounds to zero at phases near 0 needs no special case.
     """
-    check_phase(phi)
-    stay, flip = _stay_flip(2, phi)
     cos_t, sin_t = turn_table(2 * k, d)
     root = np.sqrt(flip * flip - (stay * sin_t) ** 2)
     root[(root * flip.conjugate()).real < 0] *= -1
@@ -222,29 +223,31 @@ def _survival_momentum(ensemble: Ensemble, t_max: int) -> list[tuple[int, float]
     """p(t) = sum_k ||B_k^t||_F^2 / (2d) over the momentum blocks B_k of the
     remainder's contact coin, built from its (stay, flip) = (c_0, c_n)."""
     cfg = ensemble.config
-    if cfg.free_coin != "identity":
-        raise ValueError("momentum method requires the identity free coin")
-    _require_uniform_aligned_mixture(ensemble)
     n, d = cfg.particle_count, cfg.site_count
-    blocks = _pair_blocks(d, *_stay_flip(n, cfg.interaction_phase))
+    # two or more walkers are coined only all on one site, with the contact
+    # coin alone; one walker gets the free coin, which the blocks leave out
+    if n == 1 and cfg.free_coin != "identity":
+        raise ValueError("momentum method requires the identity free coin for one walker")
+    _require_uniform_aligned_mixture(ensemble)
+    blocks = _pair_blocks(np.arange(d), d, *_stay_flip(n, cfg.interaction_phase))
     norms = _power_norms(blocks, t_max, _momentum_span(d, t_max))
     return list(enumerate((norms / (2 * d)).tolist()))
 
 
-def _power_norms(blocks: np.ndarray, t_max: int, span: int) -> np.ndarray:
-    """sum_k ||B_k^t||_F^2 for t = 0 .. t_max over stacked (d, 2, 2) blocks.
+def _power_norms(blocks, t_max: int, span: int) -> np.ndarray:
+    """sum_k ||B_k^t||_F^2 for t = 0 .. t_max over the blocks B_k, given by
+    their entries (00, 01, 10, 11) as arrays over k.
 
     B^s for s < span is built by repeated products.  Chunk q then forms
     B^s B^(q*span) for every s at once and advances by B^span, so the Python
     loops run about span + t_max/span times.  Every block is a contraction,
     so rounding error grows at most linearly in t.
     """
-    block = blocks.reshape(-1, 4).T.copy()
-    powers = np.zeros((4, span, len(blocks)), dtype=complex)
+    powers = np.zeros((4, span, len(blocks[0])), dtype=complex)
     powers[0, 0] = powers[3, 0] = 1.0
     for s in range(1, span):
-        powers[:, s] = _product(block, powers[:, s - 1])
-    advance = _product(block, powers[:, -1])
+        powers[:, s] = _product(blocks, powers[:, s - 1])
+    advance = _product(blocks, powers[:, -1])
     current = powers[:, 0]
     totals = np.empty(t_max + 1)
     for start in range(0, t_max + 1, span):
@@ -263,19 +266,19 @@ def _product(x, y):
     return (x00 * y00 + x01 * y10, x00 * y01 + x01 * y11, x10 * y00 + x11 * y10, x10 * y01 + x11 * y11)
 
 
-def _pair_blocks(d: int, stay: complex, flip: complex) -> np.ndarray:
-    """Every momentum_block matrix for the ring, stacked to shape (d, 2, 2),
-    equal to the per-k scalar expressions bit for bit."""
-    doubled = 2 * np.arange(d)
+def _pair_blocks(k: np.ndarray, d: int, stay: complex, flip: complex) -> tuple[np.ndarray, ...]:
+    """Entries (00, 01, 10, 11) of the momentum blocks k of the aligned pair
+    (stay, flip), basis (all right, all left), each an array over k:
+    [[stay * forward, flip * forward], [flip * backward, stay * backward]]
+    with the hop phases of momentum_phases, every complex product as
+    CPython's."""
+    doubled = 2 * k
     backward = turn_table(doubled, d)
     forward = turn_table(-doubled, d)
     stay, flip = complex_parts(stay), complex_parts(flip)
-    blocks = np.empty((d, 2, 2), dtype=complex)
-    for (i, j), amp, turn in (
-        ((0, 0), stay, forward),
-        ((0, 1), flip, forward),
-        ((1, 0), flip, backward),
-        ((1, 1), stay, backward),
-    ):
-        blocks.real[:, i, j], blocks.imag[:, i, j] = complex_mul(amp, turn)
-    return blocks
+    entries = []
+    for amp, turn in ((stay, forward), (flip, forward), (flip, backward), (stay, backward)):
+        entry = np.empty(len(doubled), dtype=complex)
+        entry.real, entry.imag = complex_mul(amp, turn)
+        entries.append(entry)
+    return tuple(entries)

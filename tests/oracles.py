@@ -4,10 +4,11 @@ Everything here is built from first principles with its own index
 conventions and its own pair embedding, so agreement with the library is
 evidence rather than tautology.  Dense matrices limit the reachable sizes;
 tests pick small rings accordingly.  The per-point references (a state
-written label by label, the alignment condition, JSON rows of a state, the
-projected step as a full step and a projection) are the scalar forms of
-what the library computes in arrays.  The coboson norm is summed over
-integer partitions, against the library's power-series recurrence.
+written and read label by label, the alignment condition, JSON rows of a
+state, the projected step as a full step and a projection, a momentum block)
+are the scalar forms of what the library computes in arrays.  The coboson
+norm is summed over integer partitions, against the library's power-series
+recurrence.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import comb, factorial, pi
 import numpy as np
 
 from borrowalk.bound_states import GhzSpec
-from borrowalk.evolution import interaction_group_matrix, step
+from borrowalk.evolution import contact_weights, interaction_group_matrix, step
 from borrowalk.lattice import (
     LatticeConfig,
     PureState,
@@ -137,6 +138,23 @@ def state_from_labels(config: LatticeConfig, amplitudes) -> PureState:
     return PureState(config, np.array(codes, dtype=np.int64), block)
 
 
+def labels_of(state: PureState) -> dict:
+    """{(positions, coins): amplitude} of every stored amplitude, read one
+    label at a time in storage order: codes ascending, then coin columns
+    descending, which is label order, L (-1) before R (+1).  Position x_i is
+    digit n-1-i of the code in base d; bit n-1-i of the column is set when
+    particle i moves left."""
+    n, d = state.config.particle_count, state.config.site_count
+    labels = {}
+    for code, row in zip(state.codes.tolist(), state.block.tolist()):
+        places = tuple(code // d ** (n - 1 - i) % d for i in range(n))
+        for col in range(len(row) - 1, -1, -1):
+            if row[col] != 0:
+                coins = tuple(-1 if col >> (n - 1 - i) & 1 else 1 for i in range(n))
+                labels[(places, coins)] = row[col]
+    return labels
+
+
 def label_index(config: LatticeConfig, positions, coins) -> int:
     """Mixed-radix index, particle 0 most significant, digit = 2x + coin bit."""
     idx = 0
@@ -155,7 +173,7 @@ def all_labels(config: LatticeConfig):
 def state_to_vector(state: PureState) -> np.ndarray:
     cfg = state.config
     vec = np.zeros((2 * cfg.site_count) ** cfg.particle_count, dtype=complex)
-    for (pos, coins), amp in state.amplitudes.items():
+    for (pos, coins), amp in labels_of(state).items():
         vec[label_index(cfg, pos, coins)] = amp
     return vec
 
@@ -306,8 +324,18 @@ def state_json_entries(state: PureState) -> list[dict]:
             "re": a.real,
             "im": a.imag,
         }
-        for (pos, cns), a in state.amplitudes.items()
+        for (pos, cns), a in labels_of(state).items()
     ]
+
+
+def momentum_block_reference(k: int, d: int, phi) -> np.ndarray:
+    """Projected pair step in momentum sector k, basis (both right, both
+    left), entry by entry as Python complex products of the aligned pair
+    (c_0, c_2) of the contact coin and the hop phases."""
+    forward, backward = momentum_phases(k, d)
+    weights = contact_weights(2, phi)
+    stay, flip = complex(weights[0]), complex(weights[-1])
+    return np.array([[stay * forward, flip * forward], [flip * backward, stay * backward]])
 
 
 def ghz_coin(spec: GhzSpec) -> np.ndarray:

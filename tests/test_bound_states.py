@@ -13,7 +13,7 @@ from borrowalk.bound_states import (
 )
 from borrowalk.lattice import LatticeConfig, make_basis_state, phase_grid
 
-from oracles import ghz_coin, ghz_condition, ghz_condition_closed, state_from_labels
+from oracles import ghz_coin, ghz_condition, ghz_condition_closed, labels_of, state_from_labels
 
 RESONANT = Fraction(2, 3)
 
@@ -40,9 +40,9 @@ def test_bound_state_structure():
     cfg = LatticeConfig(3, d, RESONANT)
     state = bound_state(cfg, 3)
     assert state.norm_sq() == pytest.approx(1.0)
-    assert len(state.amplitudes) == 2 * d
+    assert len(labels_of(state)) == 2 * d
     amp = 1.0 / math.sqrt(2 * d)
-    for (pos, coins), value in state.amplitudes.items():
+    for (pos, coins), value in labels_of(state).items():
         assert len(set(pos)) == 1
         assert coins in {(1, 1, 1), (-1, -1, -1)}
         assert value == pytest.approx(amp)
@@ -53,8 +53,9 @@ def test_bound_state_branch_signs():
     for arity, sign in ((2, -1.0), (3, 1.0), (4, -1.0)):
         cfg = LatticeConfig(arity, d, RESONANT)
         state = bound_state(cfg, arity)
-        right = state.amplitudes[((0,) * arity, (1,) * arity)]
-        left = state.amplitudes[((0,) * arity, (-1,) * arity)]
+        labels = labels_of(state)
+        right = labels[((0,) * arity, (1,) * arity)]
+        left = labels[((0,) * arity, (-1,) * arity)]
         assert left == pytest.approx(sign * right)
 
 
@@ -62,9 +63,10 @@ def test_bound_state_alternating_wave():
     d = 6
     cfg = LatticeConfig(3, d, RESONANT)
     state = bound_state(cfg, 3, r=1)
+    labels = labels_of(state)
     for x in range(d):
         expected = (-1.0) ** x / math.sqrt(2 * d)
-        assert state.amplitudes[((x,) * 3, (1, 1, 1))] == pytest.approx(expected)
+        assert labels[((x,) * 3, (1, 1, 1))] == pytest.approx(expected)
 
 
 def test_bound_state_rejects_bad_requests():
@@ -166,7 +168,7 @@ def test_remove_particle_from_trimer():
     assert ensemble.config.particle_count == 2
     for weight, member in ensemble.members:
         assert weight == pytest.approx(1.0 / (2 * d))
-        ((pos, coins), amp), = member.amplitudes.items()
+        ((pos, coins), amp), = labels_of(member).items()
         assert len(pos) == 2 and len(set(pos)) == 1
         assert len(set(coins)) == 1
         assert amp == pytest.approx(1.0)

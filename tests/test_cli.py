@@ -12,7 +12,7 @@ import borrowalk
 import borrowalk.cli as cli
 from borrowalk import cobosons, evolution, lattice
 from borrowalk.cli import parse_phase, run
-from borrowalk.evolution import fidelity_bytes, spectrum_bytes
+from borrowalk.evolution import fidelity_bytes, spectrum_bytes, walk_rows, walk_text_bytes
 from borrowalk.spectral import momentum_bytes
 
 
@@ -151,6 +151,19 @@ def test_survival_triple_momentum_csv(capsys):
         assert float(ours.split(",")[1]) == pytest.approx(float(theirs.split(",")[1]), abs=1e-11)
 
 
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_momentum_survival_ignores_the_free_coin(n, capsys):
+    # walkers of the remainder are coined only all on one site, where the
+    # contact coin alone acts
+    argv = ["survival", "--n", n, "--d", "7", "--t-max", "40", "--phi", "1.3", "--method", "momentum", "--coin"]
+    outputs = []
+    for coin in ("hadamard", "identity"):
+        assert run([*argv, coin]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 42
+
+
 def test_momentum_survival_is_refused_before_work(monkeypatch, capsys):
     argv = ["survival", "--d", "6", "--t-max", "3", "--method", "momentum"]
     monkeypatch.setattr(evolution, "MAX_WALK_BYTES", momentum_bytes(6, 3) - 1)
@@ -206,13 +219,15 @@ def test_traced_peaks_stay_within_the_size_models(argv, model):
         ["fidelity", "--phi-grid", str(10**5), "--t", ",".join(map(str, range(100)))],
         # a short walk, but 10**11 output rows
         ["survival", "--n", "2", "--d", "8", "--t-max", "99999999999"],
+        # a walk of bounded reach, but 10**11 snapshots
+        ["evolve", "--steps", "99999999999"],
     ],
 )
 def test_oversized_spectra_and_sweeps_are_refused_before_work(argv, monkeypatch, capsys):
     def started(*args, **kwargs):
         raise AssertionError("work started")
 
-    for worker in ("spectrum_norms", "phase_grid", "fidelity_sweep", "remove_particle"):
+    for worker in ("spectrum_norms", "phase_grid", "fidelity_sweep", "remove_particle", "make_basis_state"):
         monkeypatch.setattr(cli, worker, started)
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -272,6 +287,42 @@ def test_evolve_snapshots(capsys):
     norms = [snap["norm"] for snap in snapshots]
     assert norms[0] == pytest.approx(1.0)
     assert norms[2] <= norms[1] <= norms[0] + 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "1", "--d", "1000001", "--steps", "40", "--coin", "hadamard", "--positions", "999999"],
+        ["--n", "3", "--d", "8", "--steps", "6", "--coin", "hadamard", "--phi", "1.3"],
+        ["--n", "4", "--d", "5", "--steps", "4", "--coin", "hadamard", "--phi", "1.3"],
+        ["--n", "3", "--d", "8", "--steps", "30", "--projected", "--phi", "1.3"],
+    ],
+)
+def test_evolve_text_stays_within_its_model(argv, capsys):
+    assert run(["evolve", *argv]) == 0
+    n, d, steps = (int(argv[argv.index(flag) + 1]) for flag in ("--n", "--d", "--steps"))
+    projected = "--projected" in argv
+    text = capsys.readouterr().out
+    assert len(text) <= walk_text_bytes(n, walk_rows(n, d, steps, projected), steps, projected)
+
+
+def test_evolve_text_is_refused_before_work(monkeypatch, capsys):
+    argv = ["evolve", "--n", "3", "--d", "8", "--steps", "4"]
+    model = walk_text_bytes(3, walk_rows(3, 8, 4), 4)
+    monkeypatch.setattr(evolution, "MAX_WALK_BYTES", model - 1)
+
+    def started(*args, **kwargs):
+        raise AssertionError("work started")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "make_basis_state", started)
+        assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "JSON text" in captured.err
+    monkeypatch.setattr(evolution, "MAX_WALK_BYTES", model)
+    assert run(argv) == 0
+    assert 0 < len(capsys.readouterr().out) <= model
 
 
 def test_evolve_holds_one_snapshot_at_a_time():

@@ -32,6 +32,7 @@ from borrowalk.lattice import LatticeConfig, PureState, inner_product, make_basi
 
 from oracles import (
     dense_step_matrix,
+    labels_of,
     project_bound,
     projected_step_reference,
     random_labels,
@@ -66,12 +67,12 @@ def states(draw, config):
 
 
 def _close(a: PureState, b: PureState, tol: float = 1e-12) -> bool:
-    labels = set(a.amplitudes) | set(b.amplitudes)
-    return all(abs(a.amplitudes.get(k, 0j) - b.amplitudes.get(k, 0j)) <= tol for k in labels)
+    a, b = labels_of(a), labels_of(b)
+    return all(abs(a.get(k, 0j) - b.get(k, 0j)) <= tol for k in set(a) | set(b))
 
 
 def _relabel(state: PureState, move) -> PureState:
-    return state_from_labels(state.config, {move(pos, cns): a for (pos, cns), a in state.amplitudes.items()})
+    return state_from_labels(state.config, {move(pos, cns): a for (pos, cns), a in labels_of(state).items()})
 
 
 @engine
@@ -120,10 +121,11 @@ def test_projection_is_idempotent(data):
     cfg = data.draw(lattices())
     state = step(data.draw(states(cfg)))
     once = project_bound(state)
-    assert once.amplitudes == project_bound(once).amplitudes
-    for (pos, cns), a in once.amplitudes.items():
+    assert labels_of(once) == labels_of(project_bound(once))
+    full = labels_of(state)
+    for (pos, cns), a in labels_of(once).items():
         assert len(set(pos)) == 1 and len(set(cns)) == 1
-        assert state.amplitudes[(pos, cns)] == a
+        assert full[(pos, cns)] == a
 
 
 def _assert_same_bits(got: PureState, want: PureState) -> None:
@@ -147,7 +149,7 @@ def test_projected_step_is_the_projected_full_step_bit_for_bit(phases, data):
     cfg = data.draw(lattices(phases=phases))
     n, d = cfg.particle_count, cfg.site_count
     # random labels, mostly not co-located, plus co-located rows in any coins
-    labels = dict(data.draw(states(cfg)).amplitudes)
+    labels = labels_of(data.draw(states(cfg)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     for _ in range(data.draw(st.integers(0, 3))):
         coins = tuple(int(c) for c in rng.choice((1, -1), size=n))
@@ -167,7 +169,7 @@ def test_projected_walks_of_mirror_images_keep_equal_norms(data):
     n = data.draw(st.integers(2, 4))
     cfg = LatticeConfig(n, data.draw(st.integers(2, 6)), data.draw(st.one_of(pi_fractions, radians)), data.draw(coins))
     d = cfg.site_count
-    labels = dict(data.draw(states(cfg)).amplitudes)
+    labels = labels_of(data.draw(states(cfg)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     for _ in range(data.draw(st.integers(1, 4))):
         cns = tuple(int(c) for c in rng.choice((1, -1), size=n))
@@ -255,15 +257,22 @@ def test_trajectory_is_the_reference_walk_bit_for_bit(phi):
 @engine
 @given(st.data())
 def test_labels_read_back_unchanged(data):
-    # the library's reader against the oracle's label-by-label writer
+    # the oracle's label-by-label reader and writer over the library's
+    # storage, and the stored amplitudes in label order
     cfg = data.draw(lattices())
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     count = data.draw(st.integers(1, min(8, (2 * cfg.site_count) ** cfg.particle_count)))
     labels = random_labels(cfg, rng, count)
     state = state_from_labels(cfg, labels)
-    assert state.amplitudes == labels
-    assert list(state.amplitudes) == sorted(labels)
-    assert len(state.amplitudes) == len(labels)
+    assert labels_of(state) == labels
+    assert list(labels_of(state)) == sorted(labels)
+    assert len(labels_of(state)) == len(labels)
+    assert state.amplitudes.tolist() == [labels[k] for k in sorted(labels)]
+    # a stepped state stores zeros inside its rows, which neither reads
+    for s in (state, step(state)):
+        assert np.array_equal(s.amplitudes, s.block[s.entries()])
+        assert len(s.amplitudes) == np.count_nonzero(s.block)
+        assert s.amplitudes.tolist() == list(labels_of(s).values())
 
 
 def test_labels_are_validated():
@@ -281,7 +290,7 @@ def test_labels_are_validated():
 @pytest.mark.parametrize("coin", ("identity", "hadamard"))
 def test_any_multiple_of_an_eigenvector_is_certified(coin):
     cfg = LatticeConfig(3, 8, Fraction(2, 3), free_coin=coin)
-    twice = state_from_labels(cfg, {k: 2 * a for k, a in bound_state(cfg, 3).amplitudes.items()})
+    twice = state_from_labels(cfg, {k: 2 * a for k, a in labels_of(bound_state(cfg, 3)).items()})
     report = verify_eigenstate(twice)
     assert report.is_eigenvector
     assert abs(report.eigenvalue - 1.0) <= 1e-12

@@ -20,7 +20,7 @@ from borrowalk.lattice import (
 
 from borrowalk.evolution import apply_interaction
 
-from oracles import all_labels, random_sparse_state, state_from_labels, state_json_entries
+from oracles import all_labels, labels_of, random_sparse_state, state_from_labels, state_json_entries
 
 
 def test_coin_aliases():
@@ -122,15 +122,15 @@ def test_prune_amplitudes():
     cfg = LatticeConfig(1, 4, Fraction(2, 3))
     amps = {((0,), (1,)): 1.0 + 0j, ((1,), (1,)): 1e-16 + 0j, ((2,), (1,)): 0j}
     state = state_from_labels(cfg, amps)
-    assert set(state.amplitudes) == {((0,), (1,)), ((1,), (1,))}
-    kept = apply_interaction(state).amplitudes
+    assert set(labels_of(state)) == {((0,), (1,)), ((1,), (1,))}
+    kept = labels_of(apply_interaction(state))
     assert set(kept) == {((0,), (1,))}
 
 
 def test_basis_state_wraps_and_validates():
     cfg = LatticeConfig(2, 5, Fraction(2, 3))
     state = make_basis_state(cfg, (7, -1), ("R", "L"))
-    assert set(state.amplitudes) == {((2, 4), (1, -1))}
+    assert set(labels_of(state)) == {((2, 4), (1, -1))}
     assert state.norm() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         make_basis_state(cfg, (0,), ("R",))
@@ -172,7 +172,7 @@ def test_ensemble_validation():
     assert ens.config == cfg
     assert weights.flags.writeable and not ens.weights.flags.writeable
     assert [w for w, _ in ens.members] == [0.25, 0.75]
-    assert [dict(m.amplitudes) for _, m in ens.members] == [{((0, 0), (1, 1)): 1}, {((1, 1), (-1, -1)): 1}]
+    assert [labels_of(m) for _, m in ens.members] == [{((0, 0), (1, 1)): 1}, {((1, 1), (-1, -1)): 1}]
 
 
 def test_ensemble_overlap_matches_hand_sum():

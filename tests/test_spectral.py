@@ -7,9 +7,10 @@ import pytest
 
 from borrowalk import evolution, spectral
 from borrowalk.bound_states import bound_state, remove_particle, scan_conditions
-from borrowalk.evolution import MAX_POWER_ENTRIES, contact_weights, projected_step
+from borrowalk.evolution import contact_weights, projected_step
 from borrowalk.lattice import Ensemble, LatticeConfig, PureState, make_basis_state, phase_grid
 from borrowalk.spectral import (
+    MAX_POWER_ENTRIES,
     block_eigenvalues,
     momentum_block,
     momentum_bytes,
@@ -17,7 +18,7 @@ from borrowalk.spectral import (
     survival_probability,
 )
 
-from oracles import remove_particle_reference, state_from_labels, survival_by_members
+from oracles import labels_of, remove_particle_reference, state_from_labels, survival_by_members
 
 RESONANT = Fraction(2, 3)
 
@@ -131,14 +132,26 @@ def test_unit_modulus_count_follows_ring_parity():
 def test_aligned_groups_bind_only_in_ghz_coin_states(m):
     # the scan's hits are exactly the (phi, k) where the aligned sector of m
     # walkers has a unit-modulus eigenvalue, and there the eigenvector is
-    # (1, +-1)/sqrt(2) on (all right, all left), the branch the scan names
+    # (1, +-1)/sqrt(2) on (all right, all left), the branch the scan names;
+    # the closed-form roots are the eigenvalues of every block
     d = 6
     grid = phase_grid(720)
     scan = scan_conditions([m], grid, k_values=range(d), d=d)
     hits = {(p.phase, p.momentum_index, (p.ghz.gamma / p.ghz.beta).real) for p in scan}
     bound = set()
     for phi in grid:
-        values, vectors = np.linalg.eig(spectral._pair_blocks(d, *spectral._stay_flip(m, phi)))
+        pair = spectral._stay_flip(m, phi)
+        blocks = np.stack(spectral._pair_blocks(np.arange(d), d, *pair), axis=-1).reshape(d, 2, 2)
+        values, vectors = np.linalg.eig(blocks)
+        roots = np.stack(spectral._block_roots(np.arange(d), d, *pair), axis=-1)
+        # the roots solve each block's characteristic polynomial, and match
+        # the eigensolve to its accuracy near a defective block
+        trace, det = np.trace(blocks, axis1=1, axis2=2), np.linalg.det(blocks)
+        assert np.abs(roots * roots - trace[:, None] * roots + det[:, None]).max() <= 1e-12
+        gap = np.minimum(
+            np.abs(roots - values).max(axis=1), np.abs(roots - values[:, ::-1]).max(axis=1)
+        )
+        assert gap.max() <= 1e-7
         for k, j in zip(*np.nonzero(np.abs(values) >= 1.0 - 1e-9)):
             beta, gamma = vectors[k, :, j]
             assert abs(abs(beta) - abs(gamma)) <= 1e-9
@@ -169,7 +182,7 @@ def _projected_pair_matrix(d, phi) -> np.ndarray:
     for x in range(d):
         for ci, coin in enumerate((1, -1)):
             image = projected_step(make_basis_state(cfg, (x, x), (coin, coin)))
-            for (pos, coins), amp in image.amplitudes.items():
+            for (pos, coins), amp in labels_of(image).items():
                 row = 2 * pos[0] + (0 if coins[0] == 1 else 1)
                 out[row, 2 * x + ci] = amp
     return out
@@ -250,6 +263,18 @@ def test_survival_routes_agree_on_the_triple_remainder(d):
     momentum = survival_probability(triple, 60, method="momentum").values
     assert [t for t, _ in momentum] == [t for t, _ in direct]
     assert max(abs(p - q) for (_, p), (_, q) in zip(direct, momentum)) <= 1e-12
+
+
+@pytest.mark.parametrize("coin", ["hadamard", (0.4, 0.7, -0.2)], ids=["hadamard", "su2"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_survival_routes_agree_under_any_free_coin(n, coin):
+    # two or more walkers are coined only all on one site, where the free
+    # coin does not act, so the momentum route serves every free coin
+    remainder = remove_particle(bound_state(LatticeConfig(n + 1, 7, 1.3, free_coin=coin), n + 1))
+    direct = survival_probability(remainder, 60, method="direct").values
+    momentum = survival_probability(remainder, 60, method="momentum").values
+    assert [t for t, _ in momentum] == [t for t, _ in direct]
+    assert max(abs(p - q) for (_, p), (_, q) in zip(direct, momentum)) <= 1e-10
 
 
 def _removal_mixture(n: int, coin) -> Ensemble:
@@ -394,9 +419,10 @@ def test_survival_rejects_bad_requests():
         survival_probability(ensemble, -1)
     with pytest.raises(ValueError):
         survival_probability(ensemble, 5, method="exact")
-    hadamard = _pair_remainder(6, coin="hadamard")
-    with pytest.raises(ValueError):
-        survival_probability(hadamard, 5, method="momentum")
+    # one walker alone gets the free coin, which the momentum blocks leave out
+    single = remove_particle(bound_state(LatticeConfig(2, 6, RESONANT, free_coin="hadamard"), 2))
+    with pytest.raises(ValueError, match="identity free coin for one walker"):
+        survival_probability(single, 5, method="momentum")
     lopsided = Ensemble(LatticeConfig(2, 6, RESONANT), [0, 0], [0, 3], [0.5, 0.5])
     with pytest.raises(ValueError):
         survival_probability(lopsided, 5, method="momentum")

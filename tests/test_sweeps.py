@@ -2,13 +2,14 @@
 
 spectrum_norms, the stacked momentum blocks, fidelity_sweep and
 scan_conditions are compared with ==, not approx, against block_eigenvalues,
-momentum_block, persistence_closed and the oracles' ghz_condition and
-ghz_condition_closed evaluated point by point.
+the oracles' momentum_block_reference, persistence_closed and the oracles'
+ghz_condition and ghz_condition_closed evaluated point by point.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from borrowalk.spectral import (
     spectrum_norms,
 )
 
-from oracles import ghz_condition, ghz_condition_closed
+from oracles import ghz_condition, ghz_condition_closed, momentum_block_reference
 
 exact = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -73,9 +74,12 @@ def test_spectrum_norms_is_the_block_eigenvalue_loop(d, phi):
 @example(12, Fraction(1, 2))
 def test_stacked_blocks_are_the_momentum_blocks(d, phi):
     weights = contact_weights(2, phi)
-    blocks = _pair_blocks(d, weights[0], weights[-1])
+    entries = _pair_blocks(np.arange(d), d, weights[0], weights[-1])
     for k in range(d):
-        assert (blocks[k] == momentum_block(k, d, phi).matrix).all()
+        block = [entry[k] for entry in entries]
+        reference = momentum_block_reference(k, d, phi).ravel().tolist()
+        assert [_bits(z.real) + _bits(z.imag) for z in block] == [_bits(z.real) + _bits(z.imag) for z in reference]
+        assert momentum_block(k, d, phi).matrix.ravel().tolist() == block
 
 
 @exact
