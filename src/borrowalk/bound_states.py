@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .evolution import contact_parts, require_scan_fits, step
+from .evolution import contact_parts, step
 from .lattice import (
     Ensemble,
     LatticeConfig,
@@ -35,6 +35,7 @@ from .lattice import (
     phase_factor,
     turn_table,
 )
+from .limits import require_scan_fits
 
 _BRANCH_SIGN = {2: -1.0, 3: 1.0, 4: -1.0}
 

@@ -18,21 +18,21 @@ from itertools import chain
 
 from .bound_states import bound_state, remove_particle, scan_conditions, verify_eigenstate
 from .cobosons import coboson_report, depleted_norm
-from .evolution import (
-    fidelity_bytes,
-    projected_step,
-    require_bytes_fit,
-    require_scan_fits,
-    require_walk_fits,
-    spectrum_bytes,
-    step,
-    walk_rows,
-    walk_text_bytes,
-)
+from .evolution import projected_step, step
 from .fidelity import fidelity_sweep
 from .jsonout import records, walk_snapshots
 from .lattice import LatticeConfig, as_coin, make_basis_state, parse_phase, phase_grid, phase_radians
-from .spectral import require_survival_fits, spectrum_norms, survival_probability
+from .limits import (
+    fidelity_bytes,
+    require_bytes_fit,
+    require_scan_fits,
+    require_survival_fits,
+    require_walk_fits,
+    spectrum_bytes,
+    walk_rows,
+    walk_text_bytes,
+)
+from .spectral import spectrum_norms, survival_probability
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -205,9 +205,9 @@ def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> No
     parser.add_argument("--format", choices=formats, default=formats[0])
 
 
-def _add_lattice_flags(parser: argparse.ArgumentParser, default_phi: str = "2pi/3") -> None:
+def _add_lattice_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--d", type=int, default=8, help="ring size")
-    parser.add_argument("--phi", type=parse_phase, default=parse_phase(default_phi))
+    parser.add_argument("--phi", type=parse_phase, default=parse_phase("2pi/3"))
     parser.add_argument("--coin", choices=("identity", "hadamard"), default="identity")
 
 

@@ -11,15 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lgamma, log
+from math import comb, factorial
 
-# Largest squared norm, in bits, and largest N^2 * bits a coboson request may
-# reach: the series does about N^2 / 2 products of such integers, and past
-# about 2**16 bits a product costs more than its bits (N = 45 at 2**20 bits
-# took 18 s).  Near the edges, on a 2-CPU box, N = 400, c = 3 (10,900 bits)
-# takes 1.1 s and N = 181, c = 28 (55,000 bits) 2.5 s.
-MAX_NORM_BITS = 1 << 16
-MAX_SERIES_WORK = 1 << 31
+from .limits import require_series_fits
 
 
 def power_sum_norm_sq(factors: int, modes: int, quanta: int) -> list[int]:
@@ -41,36 +35,6 @@ def power_sum_norm_sq(factors: int, modes: int, quanta: int) -> list[int]:
         )
         norms.append(total // n)
     return norms
-
-
-def norm_bits(composites: int, d: int, constituents: int) -> float:
-    """Upper bound on log2 h_N for N = composites over 2d modes, from lgamma.
-
-    h_N sums over at most C(N + 2d - 1, N) occupations n_i, each weighing
-    (N!/prod n_i!)^2 prod (c n_i)! <= (cN)! for c >= 2.
-    """
-    modes = 2 * d
-    return (
-        lgamma(composites + modes) - lgamma(composites + 1) - lgamma(modes) + lgamma(constituents * composites + 1)
-    ) / log(2)
-
-
-def require_series_fits(composites: int, d: int, constituents: int) -> None:
-    """Refuse a coboson request whose norm_bits exceed MAX_NORM_BITS, or whose
-    composites^2 times them exceed MAX_SERIES_WORK, before any factorial is
-    formed."""
-    # sizes no float can carry are past both bounds anyway
-    if max(composites, d, constituents) < 1 << 53:
-        bits = norm_bits(composites, d, constituents)
-        if bits <= MAX_NORM_BITS and composites**2 * bits <= MAX_SERIES_WORK:
-            return
-        size = f"integers of about {bits:.0f} bits, {composites**2 * bits:.3g} for N^2 * bits"
-    else:
-        size = "sizes past 2**53"
-    raise ValueError(
-        f"B_{composites} of {constituents}-particle multiplets on {d} sites needs {size}, "
-        f"past the limits of {MAX_NORM_BITS} bits and {MAX_SERIES_WORK} for N^2 * bits"
-    )
 
 
 def _norm_constants(composites: int, d: int, constituents: int) -> tuple[Fraction, Fraction]:

@@ -46,34 +46,10 @@ _MOVES = np.array([1, -1])
 # coin-stage matrices kept across steps, one per (lattice, co-location pattern)
 _PATTERN_CACHE = 32
 
-# Bytes one walk may hold at once.  Requests that need more are refused
-# before any work starts.
-MAX_WALK_BYTES = 1 << 30
-
 # Largest co-located group the contact kernel serves: up to here every
 # Krawtchouk weight and every partial sum of integer weights, at most 2**m,
 # is an exact float64.
 MAX_CONTACT_ARITY = 53
-
-# scan_bytes per phase, per phase and contact term, and per hit, rounded up
-# from traced peaks of ghz-scan requests (see scan_bytes)
-_SCAN_PHASE_BYTES = 256
-_SCAN_TERM_BYTES = 128
-_SCAN_HIT_BYTES = 1024
-
-# spectrum_bytes per momentum sector and fidelity_bytes per phase and per
-# output row, rounded up from traced peaks of JSON requests (the larger
-# format): 566 bytes per sector at d = 64000; about 140 bytes per phase and
-# 450 per row over grids of 2000 to 20000 phases by 1 to 32 step counts
-_SPECTRUM_SECTOR_BYTES = 1024
-_FIDELITY_PHASE_BYTES = 256
-_FIDELITY_ROW_BYTES = 512
-
-# walk_text_bytes per amplitude entry and per walker in it, rounded up from
-# the JSON text of evolve requests: 165 to 263 bytes an entry for 1 to 4
-# walkers, about 33 more per walker
-_TEXT_ENTRY_BYTES = 128
-_TEXT_WALKER_BYTES = 64
 
 
 @lru_cache(maxsize=None)
@@ -167,90 +143,6 @@ def free_coin_matrix(config: LatticeConfig) -> np.ndarray:
             [-cmath.exp(-1j * zeta) * s, cmath.exp(-1j * xi) * c],
         ]
     )
-
-
-def walk_bytes(n: int, rows: int) -> int:
-    """Bytes a walk of n walkers holds at most while it spans `rows` position codes.
-
-    Per coin-block entry a step holds the block before and after the coin
-    stage and after the shift (complex, 16 bytes each) and a shifted code
-    (int64).  Per walker count, the contact coin of n co-located walkers is
-    gathered into a complex 4**n matrix through a table of coin XORs and
-    one of their popcounts (at most 2 and 1 bytes an entry for n <= 16), and
-    the coin stage caches up to _PATTERN_CACHE complex 4**n pattern matrices.
-    """
-    dim = 1 << n
-    return rows * dim * (3 * 16 + 8) + dim * dim * (3 + (1 + _PATTERN_CACHE) * 16)
-
-
-def walk_text_bytes(n: int, rows: int, steps: int, projected: bool = False) -> int:
-    """Bytes of JSON text a walk of n walkers writes at most over `steps`
-    steps while it spans `rows` position codes: steps + 1 snapshots of rows
-    times 2**n coin columns, or 2 (all right, all left) on a projected walk."""
-    columns = 2 if projected else 1 << n
-    return (steps + 1) * rows * columns * (_TEXT_ENTRY_BYTES + n * _TEXT_WALKER_BYTES)
-
-
-def scan_bytes(grid: int, arities) -> int:
-    """Bytes an alignment scan over a grid of `grid` phases holds at most.
-
-    Per phase: its Fraction.  Per phase and contact term (m + 1 of them for
-    arity m): the phase tables and running sums of contact_parts.  Per phase and
-    arity: up to four hits (two branch signs, two momenta), each a
-    ConditionPoint with its output row and printed text.
-    """
-    arities = list(arities)
-    return grid * (_SCAN_PHASE_BYTES + sum(m + 1 for m in arities) * _SCAN_TERM_BYTES
-                   + len(arities) * 4 * _SCAN_HIT_BYTES)
-
-
-def spectrum_bytes(d: int) -> int:
-    """Bytes a spectrum over d momentum sectors holds at most: per sector, the
-    momentum, the turn table and the complex roots, the output row and its
-    printed text."""
-    return d * _SPECTRUM_SECTOR_BYTES
-
-
-def fidelity_bytes(grid: int, t_count: int) -> int:
-    """Bytes a fidelity sweep over a grid of `grid` phases by `t_count` step
-    counts holds at most: per phase, its Fraction and radians; per output
-    row, the (phi, t, p) tuple and its printed text."""
-    return grid * (_FIDELITY_PHASE_BYTES + t_count * _FIDELITY_ROW_BYTES)
-
-
-def require_scan_fits(grid: int, arities) -> None:
-    """Refuse a scan with an arity the contact kernel does not serve, or whose
-    scan_bytes exceed MAX_WALK_BYTES."""
-    arities = list(arities)
-    for m in arities:
-        if not 2 <= m <= MAX_CONTACT_ARITY:
-            raise ValueError(f"the alignment scan takes 2 to {MAX_CONTACT_ARITY} walkers, not {m}")
-    require_bytes_fit(scan_bytes(grid, arities), f"an alignment scan of {grid} phases")
-
-
-def walk_rows(n: int, d: int, steps: int, projected: bool = False) -> int:
-    """Most position codes a walk started on one code holds within `steps` steps.
-
-    Each walker moves one site per step, so after t steps it is on one of
-    t + 1 sites.  On an even ring those sites share one parity, so at most
-    d // 2 of them are distinct.  A projected step coins and moves co-located
-    codes only, so a projected walk holds at most one code per reachable site.
-    """
-    reach = min(d if d % 2 else d // 2, steps + 1)
-    return reach if projected else reach**n
-
-
-def require_walk_fits(n: int, rows: int) -> None:
-    """Refuse a walk whose walk_bytes exceed MAX_WALK_BYTES."""
-    require_bytes_fit(walk_bytes(n, rows), f"{n} walkers over up to {rows} position codes")
-
-
-def require_bytes_fit(need: int, request: str) -> None:
-    """Refuse a request that would hold more than MAX_WALK_BYTES."""
-    if need > MAX_WALK_BYTES:
-        raise ValueError(
-            f"{request} would hold about {need >> 20} MiB, more than the {MAX_WALK_BYTES >> 20} MiB limit"
-        )
 
 
 def _pattern_keys(places: np.ndarray) -> np.ndarray:

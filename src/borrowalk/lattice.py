@@ -85,14 +85,18 @@ def turn_table(numerators, denominator: int) -> tuple[np.ndarray, np.ndarray]:
 
     Entry by entry this is phase_factor(Fraction(n, denominator)) to the bit,
     exact 1, i, -1 and -i at quarter turns included, without building a
-    Fraction per entry.
+    Fraction per entry.  The period 2 * denominator must be an int64, and
+    twice a turn count below it, a uint64.
     """
+    if denominator >= 1 << 62:
+        raise ValueError("turn tables take denominators below 2**62")
     turns = np.asarray(numerators, dtype=np.int64) % (2 * denominator)
     angles = (math.pi * (turns / denominator)).tolist()
     re = np.fromiter(map(math.cos, angles), float, len(angles))
     im = np.fromiter(map(math.sin, angles), float, len(angles))
+    doubled = 2 * turns.astype(np.uint64)
     for quarter, exact in enumerate((complex(1.0), 1j, complex(-1.0), -1j)):
-        hit = 2 * turns == quarter * denominator
+        hit = doubled == quarter * denominator
         re[hit] = exact.real
         im[hit] = exact.imag
     return re, im

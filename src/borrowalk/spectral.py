@@ -18,13 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .evolution import (
-    contact_weights,
-    projected_step,
-    require_bytes_fit,
-    walk_bytes,
-    walk_rows,
-)
+from .evolution import contact_weights, projected_step
 from .lattice import (
     Ensemble,
     PureState,
@@ -39,13 +33,6 @@ from .lattice import (
 # Entries (span x d) of each stacked array of momentum-block powers in the
 # momentum survival route; keeps its working set small whatever t_max is.
 MAX_POWER_ENTRIES = 1 << 15
-
-# momentum_bytes per site (the two mixture members and the block entries)
-# and per output row (JSON text is the larger format), rounded up from
-# traced peaks of survival requests: 1.4 KiB per site for the pair, 1.7 KiB
-# for the triple, and 370 bytes per JSON row
-_SITE_BYTES = 2048
-_ROW_BYTES = 512
 
 
 def _stay_flip(m: int, phi) -> tuple[complex, complex]:
@@ -194,29 +181,6 @@ def _momentum_span(d: int, t_max: int) -> int:
     which balances the set-up loop against the chunk loop, with span * d
     capped at MAX_POWER_ENTRIES."""
     return max(1, min(math.isqrt(t_max + 1), MAX_POWER_ENTRIES // d))
-
-
-def momentum_bytes(d: int, t_max: int) -> int:
-    """Bytes the momentum route over d sites up to t_max holds at most.
-
-    Per stacked entry (span * d of them): four complex powers, four complex
-    products and two complex temporaries.  Per site: the site's two mixture
-    members and a dozen complex block entries.  Per output row: the float
-    totals, the (t, p) tuple and its printed line.
-    """
-    span = _momentum_span(d, t_max)
-    return span * d * 10 * 16 + d * _SITE_BYTES + (t_max + 1) * _ROW_BYTES
-
-
-def require_survival_fits(n: int, d: int, t_max: int, method: str) -> None:
-    """Refuse a survival request of n walkers over d sites up to t_max that
-    would hold more than the limit: momentum_bytes on the momentum route; on
-    the direct route, its walk and the output rows momentum_bytes counts."""
-    if method == "momentum":
-        need = momentum_bytes(d, t_max)
-    else:
-        need = walk_bytes(n, walk_rows(n, d, t_max, projected=True)) + (t_max + 1) * _ROW_BYTES
-    require_bytes_fit(need, f"{method} survival of {n} walkers over {d} sites up to t={t_max}")
 
 
 def _survival_momentum(ensemble: Ensemble, t_max: int) -> list[tuple[int, float]]:

@@ -1,19 +1,22 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import borrowalk
 import borrowalk.cli as cli
-from borrowalk import cobosons, evolution, lattice
+from borrowalk import cobosons, lattice, limits
 from borrowalk.cli import parse_phase, run
-from borrowalk.evolution import fidelity_bytes, spectrum_bytes, walk_rows, walk_text_bytes
-from borrowalk.spectral import momentum_bytes
+from borrowalk.limits import fidelity_bytes, momentum_bytes, spectrum_bytes, walk_bytes, walk_rows, walk_text_bytes
 
 
 def test_parse_phase_symbolic_forms():
@@ -166,7 +169,7 @@ def test_momentum_survival_ignores_the_free_coin(n, capsys):
 
 def test_momentum_survival_is_refused_before_work(monkeypatch, capsys):
     argv = ["survival", "--d", "6", "--t-max", "3", "--method", "momentum"]
-    monkeypatch.setattr(evolution, "MAX_WALK_BYTES", momentum_bytes(6, 3) - 1)
+    monkeypatch.setattr(limits, "MAX_WALK_BYTES", momentum_bytes(6, 3) - 1)
 
     def started(*args, **kwargs):
         raise AssertionError("work started")
@@ -177,7 +180,7 @@ def test_momentum_survival_is_refused_before_work(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
-    monkeypatch.setattr(evolution, "MAX_WALK_BYTES", momentum_bytes(6, 3))
+    monkeypatch.setattr(limits, "MAX_WALK_BYTES", momentum_bytes(6, 3))
     assert run(argv) == 0
 
 
@@ -186,11 +189,11 @@ def test_spectrum_and_fidelity_size_arithmetic():
     assert spectrum_bytes(4000) == 4000 * 1024
     assert fidelity_bytes(720, 4) == 720 * (256 + 4 * 512)
     # the benchmark's largest requests stay far below the limit
-    assert 100 * spectrum_bytes(4000) < evolution.MAX_WALK_BYTES
-    assert 100 * fidelity_bytes(720, 4) < evolution.MAX_WALK_BYTES
-    assert spectrum_bytes(10**9) > evolution.MAX_WALK_BYTES
+    assert 100 * spectrum_bytes(4000) < limits.MAX_WALK_BYTES
+    assert 100 * fidelity_bytes(720, 4) < limits.MAX_WALK_BYTES
+    assert spectrum_bytes(10**9) > limits.MAX_WALK_BYTES
     # the rows, phases times step counts, are what a long --t list multiplies
-    assert fidelity_bytes(10**5, 1) < evolution.MAX_WALK_BYTES < fidelity_bytes(10**5, 100)
+    assert fidelity_bytes(10**5, 1) < limits.MAX_WALK_BYTES < fidelity_bytes(10**5, 100)
 
 
 @pytest.mark.parametrize(
@@ -198,17 +201,31 @@ def test_spectrum_and_fidelity_size_arithmetic():
     [
         (["spectrum", "--d", "4000", "--format", "json"], spectrum_bytes(4000)),
         (["fidelity", "--phi-grid", "2000", "--t", "1,2,3,4,5,6,7,8", "--format", "json"], fidelity_bytes(2000, 8)),
+        # a six-row walk, from a bound state and its mixture over 20000 sites
+        (
+            ["survival", "--n", "2", "--d", "20000", "--t-max", "5", "--format", "json"],
+            walk_bytes(2, 6) + 20000 * 2048 + 6 * 512,
+        ),
+        (
+            ["survival", "--n", "3", "--d", "20000", "--t-max", "5", "--format", "json"],
+            walk_bytes(3, 6) + 20000 * 2048 + 6 * 512,
+        ),
     ],
 )
-def test_traced_peaks_stay_within_the_size_models(argv, model):
-    run(argv + ["-o", os.devnull])
+def test_traced_peaks_stay_within_the_size_models(argv, model, monkeypatch, capsys):
+    argv = argv + ["-o", os.devnull]
+    run(argv)
     tracemalloc.start()
     try:
-        assert run(argv + ["-o", os.devnull]) == 0
+        assert run(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= model
+    # the model is what the request is held to: a limit below it refuses
+    monkeypatch.setattr(limits, "MAX_WALK_BYTES", model - 1)
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize(
@@ -221,13 +238,16 @@ def test_traced_peaks_stay_within_the_size_models(argv, model):
         ["survival", "--n", "2", "--d", "8", "--t-max", "99999999999"],
         # a walk of bounded reach, but 10**11 snapshots
         ["evolve", "--steps", "99999999999"],
+        # a short walk, but from a bound state over 2 * 10**6 sites
+        ["survival", "--n", "2", "--d", "2000000", "--t-max", "5"],
     ],
 )
 def test_oversized_spectra_and_sweeps_are_refused_before_work(argv, monkeypatch, capsys):
     def started(*args, **kwargs):
         raise AssertionError("work started")
 
-    for worker in ("spectrum_norms", "phase_grid", "fidelity_sweep", "remove_particle", "make_basis_state"):
+    workers = ("spectrum_norms", "phase_grid", "fidelity_sweep", "bound_state", "remove_particle", "make_basis_state")
+    for worker in workers:
         monkeypatch.setattr(cli, worker, started)
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -249,7 +269,7 @@ def test_oversized_coboson_requests_are_refused_before_work(limit, monkeypatch, 
     def started(*args, **kwargs):
         raise AssertionError("a factorial was formed")
 
-    monkeypatch.setattr(cobosons, limit, 8)
+    monkeypatch.setattr(limits, limit, 8)
     monkeypatch.setattr(cobosons, "factorial", started)
     assert run(["coboson", "--n", "2", "--d", "3"]) == 2
     captured = capsys.readouterr()
@@ -309,7 +329,7 @@ def test_evolve_text_stays_within_its_model(argv, capsys):
 def test_evolve_text_is_refused_before_work(monkeypatch, capsys):
     argv = ["evolve", "--n", "3", "--d", "8", "--steps", "4"]
     model = walk_text_bytes(3, walk_rows(3, 8, 4), 4)
-    monkeypatch.setattr(evolution, "MAX_WALK_BYTES", model - 1)
+    monkeypatch.setattr(limits, "MAX_WALK_BYTES", model - 1)
 
     def started(*args, **kwargs):
         raise AssertionError("work started")
@@ -320,7 +340,7 @@ def test_evolve_text_is_refused_before_work(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "JSON text" in captured.err
-    monkeypatch.setattr(evolution, "MAX_WALK_BYTES", model)
+    monkeypatch.setattr(limits, "MAX_WALK_BYTES", model)
     assert run(argv) == 0
     assert 0 < len(capsys.readouterr().out) <= model
 
@@ -437,3 +457,60 @@ def test_empty_requests_exit_2(argv, match, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert match in captured.err
+
+
+# values at the domain edges, odd phase strings and malformed lists
+EDGE_VALUES = (
+    "0", "1", "2", "3", "8", "-1", "nan", "inf", "-inf", "1e400", "5e-324", "1e-160", "pi/0", "7pi/3",
+    "2pi/3", "pi", "0.5", "", "99999999999", "-99999999999", "1,2", "2,3,4", "RL", "R,L,R", "x",
+)
+
+
+def _flag_actions() -> dict:
+    """Each subcommand's flag actions, --help and --output aside, read off the parser."""
+    sub = next(action for action in cli.build_parser()._actions if isinstance(action.choices, dict))
+    return {
+        name: [action for action in parser._actions if action.option_strings and action.dest not in ("help", "output")]
+        for name, parser in sub.choices.items()
+    }
+
+
+FLAG_ACTIONS = _flag_actions()
+
+
+@st.composite
+def edge_argv(draw) -> list[str]:
+    """A subcommand, then one to three of its flags, each with an edge value
+    or one of its choices."""
+    name = draw(st.sampled_from(sorted(FLAG_ACTIONS)))
+    argv = [name]
+    for action in draw(st.lists(st.sampled_from(FLAG_ACTIONS[name]), min_size=1, max_size=3)):
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            argv.append(flag)
+        else:
+            value = draw(st.sampled_from(EDGE_VALUES + tuple(map(str, action.choices or ()))))
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+def test_generated_requests_end_in_one_of_three_ways(monkeypatch):
+    # small limits keep every admitted request quick and every guard reachable
+    for limit, value in (("MAX_WALK_BYTES", 1 << 22), ("MAX_NORM_BITS", 1 << 10), ("MAX_SERIES_WORK", 1 << 16)):
+        monkeypatch.setattr(limits, limit, value)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(edge_argv())
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert out and not err
+        elif code == 2:
+            assert not out and err.startswith(("error:", "usage:"))
+        else:
+            assert code == 1 and err.startswith("assertion failed:")
+
+    check()

@@ -6,18 +6,15 @@ import pytest
 from oracles import partition_norm_sq
 
 from borrowalk.cobosons import (
-    MAX_NORM_BITS,
-    MAX_SERIES_WORK,
     CobosonReport,
     b2_closed,
     coboson_norm,
     coboson_report,
     depleted_norm,
-    norm_bits,
     power_sum_norm_sq,
     ratio_approx,
-    require_series_fits,
 )
+from borrowalk.limits import MAX_NORM_BITS, MAX_SERIES_WORK, norm_bits, require_series_fits
 
 
 def brute_force_power_sum(factors: int, modes: int, quanta: int) -> int:

@@ -18,17 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import borrowalk.cli as cli
-import borrowalk.evolution as evolution
+import borrowalk.limits as limits
 from borrowalk.bound_states import scan_conditions
 from borrowalk.cli import run
-from borrowalk.evolution import (
-    MAX_CONTACT_ARITY,
-    contact_weights,
-    interaction_group_matrix,
-    require_scan_fits,
-    scan_bytes,
-)
+from borrowalk.evolution import MAX_CONTACT_ARITY, contact_weights, interaction_group_matrix
 from borrowalk.lattice import phase_factor, phase_grid
+from borrowalk.limits import require_scan_fits, scan_bytes
 
 from oracles import ghz_condition, ghz_condition_closed
 
@@ -113,7 +108,7 @@ def test_scan_size_arithmetic():
         with pytest.raises(ValueError):
             require_scan_fits(8, arities)
     # a grid of 10**6 phases at the largest arity: about 12 GB by the model
-    assert scan_bytes(10**6, [MAX_CONTACT_ARITY]) > evolution.MAX_WALK_BYTES
+    assert scan_bytes(10**6, [MAX_CONTACT_ARITY]) > limits.MAX_WALK_BYTES
     with pytest.raises(ValueError):
         require_scan_fits(10**6, [MAX_CONTACT_ARITY])
     with pytest.raises(ValueError):
@@ -142,10 +137,10 @@ def test_oversized_scans_are_refused_before_work(argv, monkeypatch, capsys):
 
 def test_scan_at_the_bound_runs(monkeypatch, capsys):
     argv = ["ghz-scan", "--n-values", "2,3", "--phi-grid", "12"]
-    monkeypatch.setattr(evolution, "MAX_WALK_BYTES", scan_bytes(12, [2, 3]) - 1)
+    monkeypatch.setattr(limits, "MAX_WALK_BYTES", scan_bytes(12, [2, 3]) - 1)
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
-    monkeypatch.setattr(evolution, "MAX_WALK_BYTES", scan_bytes(12, [2, 3]))
+    monkeypatch.setattr(limits, "MAX_WALK_BYTES", scan_bytes(12, [2, 3]))
     assert run(argv) == 0
 
 

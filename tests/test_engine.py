@@ -17,18 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import borrowalk.evolution as evolution
+import borrowalk.limits as limits
 from borrowalk.bound_states import bound_state, verify_eigenstate
 from borrowalk.cli import run
-from borrowalk.evolution import (
-    MAX_WALK_BYTES,
-    projected_step,
-    require_walk_fits,
-    step,
-    walk_bytes,
-    walk_rows,
-)
+from borrowalk.evolution import projected_step, step
 from borrowalk.fidelity import persistence_trajectory
 from borrowalk.lattice import LatticeConfig, PureState, inner_product, make_basis_state
+from borrowalk.limits import MAX_WALK_BYTES, require_walk_fits, walk_bytes, walk_rows
 
 from oracles import (
     dense_step_matrix,
@@ -364,7 +359,7 @@ def test_full_walks_reach_the_parity_row_bound(cfg, start):
     ],
 )
 def test_oversized_walks_are_refused_up_front(argv, monkeypatch, capsys):
-    monkeypatch.setattr(evolution, "MAX_WALK_BYTES", 1000)
+    monkeypatch.setattr(limits, "MAX_WALK_BYTES", 1000)
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -5,15 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from borrowalk import evolution, spectral
+from borrowalk import evolution, limits, spectral
 from borrowalk.bound_states import bound_state, remove_particle, scan_conditions
 from borrowalk.evolution import contact_weights, projected_step
 from borrowalk.lattice import Ensemble, LatticeConfig, PureState, make_basis_state, phase_grid
+from borrowalk.limits import momentum_bytes
 from borrowalk.spectral import (
     MAX_POWER_ENTRIES,
     block_eigenvalues,
     momentum_block,
-    momentum_bytes,
     spectrum_norms,
     survival_probability,
 )
@@ -72,12 +72,27 @@ def test_block_eigenvalues_solve_the_blocks():
 
 @pytest.mark.parametrize(
     "k, d, message",
-    [(8, 8, "momentum index"), (-1, 8, "momentum index"), (3, 0, "ring size"), (0, -2, "ring size")],
+    [
+        (8, 8, "momentum index"),
+        (-1, 8, "momentum index"),
+        (3, 0, "ring size"),
+        (0, -2, "ring size"),
+        # the turn period 2d must be an int64
+        (1, 2**62, r"below 2\*\*62"),
+    ],
 )
 def test_block_eigenvalues_refuse_the_momenta_momentum_block_refuses(k, d, message):
     for solve in (block_eigenvalues, momentum_block):
         with pytest.raises(ValueError, match=message):
             solve(k, d, RESONANT)
+
+
+def test_rings_just_below_the_int64_turn_period_solve():
+    plus, minus = block_eigenvalues(1, 2**62 - 1, RESONANT)
+    assert momentum_block(1, 2**62 - 1, RESONANT).matrix.shape == (2, 2)
+    assert cmath.isfinite(plus) and cmath.isfinite(minus)
+    with pytest.raises(ValueError):
+        spectrum_norms(2**62, RESONANT)
 
 
 @pytest.mark.parametrize("phi", [1e-160, 5e-324])
@@ -373,7 +388,7 @@ def test_momentum_span_and_bytes_arithmetic():
     # past the cap the span shrinks, down to one power per site
     assert spectral._momentum_span(4000, 10**6) == MAX_POWER_ENTRIES // 4000
     assert spectral._momentum_span(MAX_POWER_ENTRIES + 1, 10**6) == 1
-    site, row = spectral._SITE_BYTES, spectral._ROW_BYTES
+    site, row = limits._SITE_BYTES, limits._ROW_BYTES
     assert momentum_bytes(20, 800) == 28 * 20 * 160 + 20 * site + 801 * row
     # linear in t_max once the span is capped, so memory stays O(d + t_max)
     d = 4000

@@ -44,6 +44,8 @@ def _bits(x: float) -> tuple[float, float]:
 @exact
 @given(st.lists(st.integers(-5000, 5000), min_size=1, max_size=50), st.integers(1, 600))
 @example([0, 1, 2, 3, -1, -2, -3, 4, 7], 4)
+# twice these turn counts passes 2**63: the quarter turns stay exact
+@example([3 * (2**61 - 1), 2**61 - 1, 2**62 - 2, -(2**61 - 1), 1], 2**62 - 2)
 def test_turn_table_is_phase_factor(numerators, denominator):
     re, im = turn_table(numerators, denominator)
     for n, a, b in zip(numerators, re.tolist(), im.tolist()):
